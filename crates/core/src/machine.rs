@@ -502,7 +502,7 @@ pub fn run_transfer_in(
 
     // Interconnect: CPs occupy nodes [0, n_cps), IOPs the next n_iops nodes,
     // placed on the configured fabric (the paper's torus by default).
-    let (net, mut inboxes) =
+    let (net, inboxes) =
         Network::<FsMessage>::new(ctx.clone(), config.fabric, config.net, config.n_nodes());
     net.set_outages(fault_schedule.outages.clone());
 
@@ -527,11 +527,12 @@ pub fn run_transfer_in(
         );
     }
 
-    // Build the CPs.
-    let mut cp_inboxes = Vec::with_capacity(config.n_cps);
+    // Build the CPs. The network hands out one inbox per node, CPs first,
+    // then IOPs.
+    let mut inboxes = inboxes.into_iter();
+    let cp_inboxes: Vec<Inbox> = inboxes.by_ref().take(config.n_cps).collect();
     let mut cps = Vec::with_capacity(config.n_cps);
     for cp in 0..config.n_cps {
-        cp_inboxes.push(inboxes.remove(0));
         cps.push(Rc::new(CpParts {
             cp,
             node: config.cp_node(cp),
@@ -569,10 +570,9 @@ pub fn run_transfer_in(
     // time zero; timed policies leave the parameters pristine and act
     // through the per-drive plans instead.
     config.faults.degrade(&mut drive_params);
-    let mut iop_inboxes = Vec::with_capacity(config.n_iops);
+    let iop_inboxes: Vec<Inbox> = inboxes.take(config.n_iops).collect();
     let mut iops = Vec::with_capacity(config.n_iops);
     for iop in 0..config.n_iops {
-        iop_inboxes.push(inboxes.remove(0));
         let bus = ScsiBus::with_bandwidth(
             ctx.clone(),
             ResourceName::Indexed {

@@ -561,6 +561,14 @@ impl AdmissionQueue {
 
 /// The shared arrival→admission queue: the injector pushes, the admission
 /// workers pop (awaiting new arrivals), and closing it releases the workers.
+///
+/// A push wakes only the longest-waiting worker: it is the one that would
+/// have popped first had every waiter been woken, and the rest would only
+/// have re-registered, in the same order. A woken worker that finds the
+/// queue already drained (another worker's batch took the request) simply
+/// re-registers. Each push wakes one worker and each woken worker that runs
+/// either pops or finds the queue empty, so no request is stranded while a
+/// worker sleeps. Closing still wakes every waiter.
 #[derive(Clone)]
 pub(crate) struct SharedQueue {
     inner: Rc<RefCell<SharedInner>>,
@@ -569,7 +577,8 @@ pub(crate) struct SharedQueue {
 struct SharedInner {
     queue: AdmissionQueue,
     closed: bool,
-    waiters: Vec<TaskRef>,
+    /// Parked workers, longest-waiting first.
+    waiters: VecDeque<TaskRef>,
 }
 
 impl SharedQueue {
@@ -578,7 +587,7 @@ impl SharedQueue {
             inner: Rc::new(RefCell::new(SharedInner {
                 queue: AdmissionQueue::new(qos, tenants),
                 closed: false,
-                waiters: Vec::new(),
+                waiters: VecDeque::new(),
             })),
         }
     }
@@ -586,7 +595,7 @@ impl SharedQueue {
     fn push(&self, tenant: usize, id: u64) {
         let mut inner = self.inner.borrow_mut();
         inner.queue.push(tenant, id);
-        for w in inner.waiters.drain(..) {
+        if let Some(w) = inner.waiters.pop_front() {
             w.wake();
         }
     }
@@ -631,7 +640,7 @@ impl std::future::Future for PopFuture {
         if inner.closed {
             return Poll::Ready(None);
         }
-        inner.waiters.push(TaskRef::capture(cx));
+        inner.waiters.push_back(TaskRef::capture(cx));
         Poll::Pending
     }
 }
@@ -1332,5 +1341,107 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Spawns `k` admission-style workers that pop, take a batch of up to
+    /// `batch` requests with `try_pop`, log each as `(worker, id)`, spend
+    /// `service` of virtual time on it, and repeat until the queue closes.
+    fn spawn_workers(
+        sim: &mut Sim,
+        queue: &SharedQueue,
+        k: usize,
+        batch: usize,
+        service: SimDuration,
+    ) -> Rc<RefCell<Vec<(usize, u64)>>> {
+        let served = Rc::new(RefCell::new(Vec::new()));
+        for w in 0..k {
+            let (queue, served, ctx) = (queue.clone(), Rc::clone(&served), sim.context());
+            sim.spawn(async move {
+                while let Some((_, first)) = queue.pop().await {
+                    served.borrow_mut().push((w, first));
+                    for _ in 1..batch {
+                        let Some((_, id)) = queue.try_pop() else {
+                            break;
+                        };
+                        served.borrow_mut().push((w, id));
+                    }
+                    ctx.sleep(service).await;
+                }
+            });
+        }
+        served
+    }
+
+    #[test]
+    fn a_push_wakes_exactly_one_idle_worker() {
+        const K: usize = 8;
+        let mut sim = Sim::new();
+        let queue = SharedQueue::new(QosPolicy::Fifo, 1);
+        let served = spawn_workers(&mut sim, &queue, K, 1, SimDuration::ZERO);
+        sim.run();
+        assert_eq!(sim.events_processed(), K as u64, "every worker parks");
+
+        // Each push re-polls one waiter, the longest-waiting one, which pops
+        // and parks again at the back.
+        for (round, expected) in [(0u64, 0usize), (1, 1), (2, 2)] {
+            let before = sim.events_processed();
+            queue.push(0, round);
+            sim.run();
+            assert_eq!(
+                sim.events_processed() - before,
+                1,
+                "push {round} woke one waiter"
+            );
+            assert_eq!(served.borrow().last(), Some(&(expected, round)));
+        }
+
+        // Closing releases every waiter: one final poll each.
+        let before = sim.events_processed();
+        queue.close();
+        sim.run();
+        assert_eq!(sim.events_processed() - before, K as u64);
+        assert_eq!(sim.live_tasks(), 0);
+    }
+
+    #[test]
+    fn a_batch_draining_ahead_of_a_woken_worker_loses_no_request() {
+        let mut sim = Sim::new();
+        let queue = SharedQueue::new(QosPolicy::Fifo, 1);
+        let served = spawn_workers(
+            &mut sim,
+            &queue,
+            4,
+            SERVE_BATCH,
+            SimDuration::from_micros(10),
+        );
+        // Bursts of one to three same-instant arrivals. Each arrival wakes
+        // one worker, but the first woken worker's batch takes the whole
+        // burst, so the workers woken for the rest find the queue drained
+        // and must park again without stranding later arrivals.
+        let (inject, ctx) = (queue.clone(), sim.context());
+        sim.spawn(async move {
+            let mut id = 0u64;
+            for burst in 0..30u64 {
+                for _ in 0..burst % 3 + 1 {
+                    inject.push(0, id);
+                    id += 1;
+                }
+                ctx.sleep(SimDuration::from_micros(3 + burst % 13)).await;
+            }
+            inject.close();
+        });
+        sim.run();
+        let served = served.borrow();
+        // The second burst (ids 1 and 2) woke workers 1 and 2; worker 1's
+        // batch drained both ahead of worker 2.
+        assert_eq!(served[1..3], [(1, 1), (1, 2)]);
+        let mut ids: Vec<u64> = served.iter().map(|&(_, id)| id).collect();
+        ids.sort_unstable();
+        assert_eq!(
+            ids,
+            (0..60).collect::<Vec<u64>>(),
+            "every request admitted once"
+        );
+        assert_eq!(sim.live_tasks(), 0);
     }
 }

@@ -25,15 +25,21 @@
 //!   work (they are required by `Future::poll`); they find their simulation
 //!   through a thread-local registry, falling back to a mutex-protected queue
 //!   only if woken from a foreign thread.
-//! * **A hierarchical timer wheel** — 8 levels × 64 slots with 1 ns bottom
-//!   resolution and a `(deadline, seq)`-ordered overflow heap beyond the
-//!   2^48 ns horizon. Entries store a `TaskId`, not a boxed `Waker`.
+//! * **A `(deadline, seq)` binary heap of timers** — entries store a
+//!   `TaskId`, not a boxed `Waker`. The simulator's timer traffic is a few
+//!   hundred pending sleeps with millisecond deltas at 1 ns resolution, so
+//!   one `O(log n)` push and pop per timer is cheaper than a hierarchical
+//!   timer wheel, which would re-insert each entry about three times while
+//!   cascading and rescan every level per step (DESIGN.md §8 has the
+//!   profile).
 //!
 //! # Determinism
 //!
 //! The run loop is deterministic: ready tasks run in FIFO order of wake-up,
-//! and timers fire in `(deadline, registration sequence)` order. Two runs of
-//! the same simulation with the same seeds produce identical event orders and
+//! and timers fire in `(deadline, registration sequence)` order — every
+//! timer due at the clock's next instant is moved to the ready queue, in
+//! sequence order, before any task is polled. Two runs of the same
+//! simulation with the same seeds produce identical event orders and
 //! identical final clocks. The test suite checks this property.
 //!
 //! # Example
@@ -96,9 +102,14 @@ thread_local! {
 
     /// The task currently being polled by the executor on this thread, used
     /// by [`TaskRef::capture`] so primitives can wake by task id instead of
-    /// cloning a `Waker`.
-    static CURRENT: RefCell<Option<(TaskId, Weak<SimCore>)>> =
-        const { RefCell::new(None) };
+    /// cloning a `Waker`. A `Copy` id in a `Cell`, so marking each poll is
+    /// two plain stores.
+    static CURRENT: Cell<Option<TaskId>> = const { Cell::new(None) };
+
+    /// The simulation whose run loop is active on this thread: the state
+    /// that [`CURRENT`]'s task belongs to. Set once per [`Sim::run_until`],
+    /// not once per poll.
+    static CURRENT_SIM: RefCell<Weak<SimCore>> = const { RefCell::new(Weak::new()) };
 }
 
 /// Source of unique per-process simulation ids for the thread-local registry.
@@ -184,13 +195,13 @@ impl TaskRef {
     /// Captures a handle to the task currently being polled (falling back to
     /// `cx`'s waker when not called from inside a simulation task).
     pub fn capture(cx: &Context<'_>) -> TaskRef {
-        CURRENT.with(|c| match &*c.borrow() {
-            Some((id, state)) => TaskRef(TaskRefInner::Task {
-                id: *id,
-                state: state.clone(),
+        match CURRENT.get() {
+            Some(id) => TaskRef(TaskRefInner::Task {
+                id,
+                state: CURRENT_SIM.with_borrow(Weak::clone),
             }),
             None => TaskRef(TaskRefInner::Foreign(cx.waker().clone())),
-        })
+        }
     }
 
     /// Wakes the captured task, consuming the handle.
@@ -212,249 +223,34 @@ impl TaskRef {
 
 /// Restores the previous [`CURRENT`] task on drop, so the marker stays
 /// correct even if a task's `poll` panics.
-struct CurrentGuard {
-    prev: Option<(TaskId, Weak<SimCore>)>,
-}
+struct CurrentGuard(Option<TaskId>);
 
 impl CurrentGuard {
-    fn enter(id: TaskId, core: &Rc<SimCore>) -> CurrentGuard {
-        CurrentGuard {
-            prev: CURRENT.with(|c| c.borrow_mut().replace((id, core.self_weak.clone()))),
-        }
+    fn enter(id: TaskId) -> CurrentGuard {
+        CurrentGuard(CURRENT.replace(Some(id)))
     }
 }
 
 impl Drop for CurrentGuard {
     fn drop(&mut self) {
-        CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
+        CURRENT.set(self.0);
     }
 }
 
-/// Number of levels in the timer wheel; level `l` slots are `2^(6l)` ns wide.
-const LEVELS: usize = 8;
-/// Slots per level.
-const SLOTS: usize = 64;
-/// Deadlines at least this far past the wheel base go to the overflow heap.
-/// 2^48 ns is about 3.3 days of simulated time.
-const HORIZON: u64 = 1 << (6 * LEVELS);
+/// Restores the previous [`CURRENT_SIM`] on drop, so a run loop nested in a
+/// task of another simulation (or unwinding out of one) leaves the outer
+/// simulation's marker intact.
+struct SimGuard(Weak<SimCore>);
 
-/// A timer registered on the wheel. No `Waker` is stored: firing pushes the
-/// task id onto the ready queue directly.
-struct TimerEntry {
-    deadline: u64,
-    seq: u64,
-    task: TaskId,
+impl SimGuard {
+    fn enter(core: &SimCore) -> SimGuard {
+        SimGuard(CURRENT_SIM.replace(core.self_weak.clone()))
+    }
 }
 
-/// A hierarchical timer wheel with a sorted overflow heap.
-///
-/// Level 0 slots are 1 ns wide, so a fully cascaded earliest slot holds
-/// entries of exactly one deadline; each higher level is 64× coarser. The
-/// wheel's `base` only ever advances to a proven lower bound of every pending
-/// deadline, which is what lets [`TimerWheel::next_deadline`] cascade safely
-/// while preserving exact `(deadline, seq)` firing order.
-struct TimerWheel {
-    /// Lower bound of every pending deadline (wheel and overflow alike).
-    base: u64,
-    /// Entries currently stored in wheel slots (excludes the overflow heap).
-    wheel_len: usize,
-    /// Per-level occupancy bitmaps: bit `s` set iff slot `s` is non-empty.
-    occupied: [u64; LEVELS],
-    /// Flattened `LEVELS × SLOTS` slot storage.
-    slots: Box<[Vec<TimerEntry>]>,
-    /// Entries beyond the horizon, ordered by `(deadline, seq)`.
-    overflow: BinaryHeap<Reverse<(u64, u64, TaskId)>>,
-}
-
-impl TimerWheel {
-    fn new() -> TimerWheel {
-        TimerWheel {
-            base: 0,
-            wheel_len: 0,
-            occupied: [0; LEVELS],
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
-            overflow: BinaryHeap::new(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.wheel_len == 0 && self.overflow.is_empty()
-    }
-
-    fn clear(&mut self) {
-        self.base = 0;
-        self.wheel_len = 0;
-        self.occupied = [0; LEVELS];
-        for slot in self.slots.iter_mut() {
-            slot.clear();
-        }
-        self.overflow.clear();
-    }
-
-    /// Registers a timer. `now` re-anchors the base when the wheel is empty,
-    /// keeping deltas (and therefore levels) small.
-    fn insert(&mut self, deadline: u64, seq: u64, task: TaskId, now: u64) {
-        if self.is_empty() {
-            self.base = now;
-        }
-        debug_assert!(deadline >= self.base, "timer registered before wheel base");
-        // XOR, not subtraction: a small delta that straddles a 2^48-aligned
-        // boundary still differs from the base in a high bit and must wait in
-        // the overflow heap until the base catches up.
-        if (deadline ^ self.base) >= HORIZON {
-            self.overflow.push(Reverse((deadline, seq, task)));
-        } else {
-            self.insert_raw(TimerEntry {
-                deadline,
-                seq,
-                task,
-            });
-            self.wheel_len += 1;
-        }
-    }
-
-    /// Places an entry in its slot; does not touch `wheel_len`.
-    fn insert_raw(&mut self, entry: TimerEntry) {
-        // Level selection uses the highest bit where the deadline *differs
-        // from the base* (not the delta): that is the coarsest level at which
-        // the entry's slot index is strictly ahead of the base cursor within
-        // the same rotation, which keeps slot → window reconstruction exact.
-        let diff = entry.deadline ^ self.base;
-        // diff == 0 (deadline == base) can only come from overflow migration
-        // and lands in level 0.
-        let level = if diff == 0 {
-            0
-        } else {
-            (63 - diff.leading_zeros() as usize) / 6
-        };
-        let slot = ((entry.deadline >> (6 * level)) & 63) as usize;
-        self.occupied[level] |= 1 << slot;
-        self.slots[level * SLOTS + slot].push(entry);
-    }
-
-    /// For each occupied level, the first slot in rotation order from the
-    /// base cursor and a lower bound on the deadlines it holds. Returns the
-    /// winner `(bound, level, slot)`, preferring the **highest** level on
-    /// ties so entries sharing a deadline are cascaded together before L0
-    /// fires.
-    fn best_wheel_slot(&self) -> Option<(u64, usize, usize)> {
-        let mut best: Option<(u64, usize, usize)> = None;
-        for level in (0..LEVELS).rev() {
-            let bitmap = self.occupied[level];
-            if bitmap == 0 {
-                continue;
-            }
-            let shift = 6 * level;
-            let cursor = ((self.base >> shift) & 63) as u32;
-            let at_or_after = bitmap & (u64::MAX << cursor);
-            let (slot, wrapped) = if at_or_after != 0 {
-                (at_or_after.trailing_zeros() as u64, false)
-            } else {
-                (bitmap.trailing_zeros() as u64, true)
-            };
-            let mut high = self.base >> (shift + 6);
-            if wrapped {
-                high += 1;
-            }
-            let window_start = ((high << 6) | slot) << shift;
-            let bound = window_start.max(self.base);
-            match best {
-                Some((b, _, _)) if b <= bound => {}
-                _ => best = Some((bound, level, slot as usize)),
-            }
-        }
-        best
-    }
-
-    /// Returns the earliest pending deadline if it is `<= limit`, cascading
-    /// higher-level slots and migrating overflow entries as needed so that
-    /// when `Some(d)` is returned every entry with deadline `d` sits in the
-    /// level-0 slot for `d`. The base never advances past a bound that
-    /// exceeds `limit`, so timers registered after an early return stay
-    /// consistent.
-    fn next_deadline(&mut self, limit: u64) -> Option<u64> {
-        loop {
-            let wheel_best = if self.wheel_len == 0 {
-                None
-            } else {
-                self.best_wheel_slot()
-            };
-            let overflow_min = self.overflow.peek().map(|Reverse((d, _, _))| *d);
-            let candidate = match (wheel_best, overflow_min) {
-                (None, None) => return None,
-                (Some((b, _, _)), None) => b,
-                (None, Some(d)) => d,
-                (Some((b, _, _)), Some(d)) => b.min(d),
-            };
-            if candidate > limit {
-                return None;
-            }
-            let migrate = match (overflow_min, wheel_best) {
-                (Some(d), Some((b, _, _))) => d <= b,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if migrate {
-                // The overflow minimum is a lower bound of everything
-                // pending, so the base may advance to it; entries now within
-                // the horizon move into the wheel.
-                self.base = overflow_min.expect("migrate implies overflow entry");
-                loop {
-                    let within = match self.overflow.peek() {
-                        Some(Reverse((d, _, _))) => (*d ^ self.base) < HORIZON,
-                        None => false,
-                    };
-                    if !within {
-                        break;
-                    }
-                    let Reverse((deadline, seq, task)) =
-                        self.overflow.pop().expect("peeked entry vanished");
-                    self.insert_raw(TimerEntry {
-                        deadline,
-                        seq,
-                        task,
-                    });
-                    self.wheel_len += 1;
-                }
-                continue;
-            }
-            let (bound, level, slot) = wheel_best.expect("no migration implies a wheel slot");
-            if level == 0 {
-                // 1 ns slots: the bound is the exact (and unique) deadline.
-                return Some(bound);
-            }
-            // Cascade: `bound` lower-bounds every pending deadline, so the
-            // base may advance to it, and each drained entry re-inserts at a
-            // strictly lower level (its delta is now below the old slot
-            // width), which guarantees termination.
-            self.base = bound;
-            let index = level * SLOTS + slot;
-            self.occupied[level] &= !(1 << slot);
-            let mut drained = std::mem::take(&mut self.slots[index]);
-            for entry in drained.drain(..) {
-                self.insert_raw(entry);
-            }
-            self.slots[index] = drained;
-        }
-    }
-
-    /// Fires every entry at `deadline` (which [`TimerWheel::next_deadline`]
-    /// has fully cascaded into level 0) in registration-sequence order,
-    /// pushing the woken task ids onto `ready`. Returns the number fired.
-    fn fire_at(&mut self, deadline: u64, ready: &mut VecDeque<TaskId>) -> u64 {
-        let slot = (deadline & 63) as usize;
-        self.occupied[0] &= !(1 << slot);
-        let fired = self.slots[slot].len();
-        self.wheel_len -= fired;
-        let entries = &mut self.slots[slot];
-        // Cascading can interleave entries out of registration order; one
-        // sort at fire time restores the `(deadline, seq)` contract.
-        entries.sort_unstable_by_key(|e| e.seq);
-        for entry in entries.drain(..) {
-            debug_assert_eq!(entry.deadline, deadline, "foreign deadline in L0 slot");
-            ready.push_back(entry.task);
-        }
-        fired as u64
+impl Drop for SimGuard {
+    fn drop(&mut self) {
+        CURRENT_SIM.set(std::mem::take(&mut self.0));
     }
 }
 
@@ -481,15 +277,17 @@ struct Slot {
 struct SimCore {
     clock: Cell<SimTime>,
     state: RefCell<SimState>,
-    /// A weak self-reference (set at construction), so [`TaskRef::capture`]
-    /// can mint waiter handles from the raw `CURRENT` pointer without going
-    /// through the registry.
+    /// A weak self-reference (set at construction), which [`Sim::run_until`]
+    /// installs as [`CURRENT_SIM`] so [`TaskRef::capture`] can mint waiter
+    /// handles without going through the registry.
     self_weak: Weak<SimCore>,
 }
 
 /// Mutable simulation state shared between the executor and [`SimContext`]s.
 struct SimState {
-    timers: TimerWheel,
+    /// Pending timers as a min-heap on `(deadline ns, registration seq)`;
+    /// `seq` is unique, so the `TaskId` never takes part in the order.
+    timers: BinaryHeap<Reverse<(u64, u64, TaskId)>>,
     timer_seq: u64,
     /// Slab of task slots; `free` holds recyclable indices.
     slots: Vec<Slot>,
@@ -507,7 +305,7 @@ struct SimState {
 impl SimState {
     fn new(sim_id: u64, tasks: usize) -> Self {
         SimState {
-            timers: TimerWheel::new(),
+            timers: BinaryHeap::new(),
             timer_seq: 0,
             slots: Vec::with_capacity(tasks),
             free: Vec::new(),
@@ -554,11 +352,10 @@ impl SimState {
         id
     }
 
-    fn register_timer(&mut self, deadline: SimTime, task: TaskId, now: SimTime) {
+    fn register_timer(&mut self, deadline: SimTime, task: TaskId) {
         let seq = self.timer_seq;
         self.timer_seq += 1;
-        self.timers
-            .insert(deadline.as_nanos(), seq, task, now.as_nanos());
+        self.timers.push(Reverse((deadline.as_nanos(), seq, task)));
     }
 
     /// Adopts wake-ups that arrived from foreign threads (cold path).
@@ -608,7 +405,7 @@ impl Sim {
 
     /// Returns the simulation to its initial state — time zero, no tasks, no
     /// timers, zeroed event counter — while keeping the slab, queue, and
-    /// wheel allocations for reuse. Any still-pending tasks are dropped.
+    /// timer-heap allocations for reuse. Any still-pending tasks are dropped.
     ///
     /// This is what lets the experiment harness run many transfers on one
     /// `Sim` without paying allocation and teardown per transfer.
@@ -698,6 +495,7 @@ impl Sim {
     /// Events scheduled exactly at `limit` do fire. Returns the time at which
     /// the run stopped (either quiescence or `limit`).
     pub fn run_until(&mut self, limit: SimTime) -> SimTime {
+        let _sim = SimGuard::enter(&self.core);
         loop {
             // Pop the next runnable task and check it out of its slot under a
             // single borrow, in FIFO wake order. Stale wake-ups (completed
@@ -737,19 +535,24 @@ impl Sim {
             // Nothing runnable: advance the clock to the next timer.
             let mut st = self.core.state.borrow_mut();
             let st = &mut *st;
-            match st.timers.next_deadline(limit.as_nanos()) {
-                None => break,
-                Some(deadline) => {
-                    let deadline = SimTime::from_nanos(deadline);
-                    debug_assert!(
-                        deadline >= self.core.clock.get(),
-                        "event calendar went backwards"
-                    );
-                    self.core.clock.set(deadline);
-                    // Fire every timer with this deadline before polling, so
-                    // simultaneous events are handled in registration order.
-                    st.events_processed += st.timers.fire_at(deadline.as_nanos(), &mut st.ready);
+            let deadline = match st.timers.peek() {
+                Some(&Reverse((deadline, _, _))) if deadline <= limit.as_nanos() => deadline,
+                _ => break,
+            };
+            debug_assert!(
+                deadline >= self.core.clock.get().as_nanos(),
+                "event calendar went backwards"
+            );
+            self.core.clock.set(SimTime::from_nanos(deadline));
+            // Fire every timer with this deadline before polling, so
+            // simultaneous events are handled in registration order.
+            while let Some(&Reverse((due, _, task))) = st.timers.peek() {
+                if due != deadline {
+                    break;
                 }
+                st.timers.pop();
+                st.ready.push_back(task);
+                st.events_processed += 1;
             }
         }
         // A pending timer past the limit still advances the clock to the
@@ -773,7 +576,7 @@ impl Sim {
     fn poll_task(&mut self, id: TaskId, mut task: BoxedTask, waker: Waker) {
         let index = id.index();
         let poll = {
-            let _current = CurrentGuard::enter(id, &self.core);
+            let _current = CurrentGuard::enter(id);
             let mut cx = Context::from_waker(&waker);
             task.as_mut().poll(&mut cx)
         };
@@ -911,22 +714,14 @@ impl SimContext {
         }
         if !*registered {
             *registered = true;
-            let id = CURRENT
-                .with(|c| c.borrow().as_ref().map(|(id, _)| *id))
-                .expect(
-                    "sleep futures can only be polled from within a task spawned on the simulation",
-                );
+            let id = CURRENT.get().expect(
+                "sleep futures can only be polled from within a task spawned on the simulation",
+            );
             debug_assert!(
-                CURRENT.with(|c| c
-                    .borrow()
-                    .as_ref()
-                    .is_some_and(|(_, state)| state.ptr_eq(&self.core.self_weak))),
+                CURRENT_SIM.with_borrow(|sim| sim.ptr_eq(&self.core.self_weak)),
                 "sleep future polled by a task belonging to a different Sim"
             );
-            self.core
-                .state
-                .borrow_mut()
-                .register_timer(deadline, id, now);
+            self.core.state.borrow_mut().register_timer(deadline, id);
         }
         Poll::Pending
     }
@@ -1302,9 +1097,9 @@ mod tests {
     }
 
     #[test]
-    fn timer_wheel_handles_wide_deadline_spreads() {
-        // Deadlines spanning every wheel level plus the overflow heap, with
-        // deliberate same-deadline collisions; completion order must be
+    fn timers_handle_wide_deadline_spreads() {
+        // Deadlines from nanoseconds to beyond 2^48 ns, with deliberate
+        // same-deadline collisions; completion order must be
         // (deadline, registration) order.
         let mut sim = Sim::new();
         let ctx = sim.context();
@@ -1316,7 +1111,7 @@ mod tests {
             delays.push(base + 3); // collision
             delays.push(base.saturating_mul(17) + 1);
         }
-        delays.push(1 << 50); // beyond the 2^48 horizon
+        delays.push(1 << 50); // beyond 2^48 ns
         delays.push((1 << 50) + 1);
         let mut expected: Vec<(u64, usize)> = delays
             .iter()

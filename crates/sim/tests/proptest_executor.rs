@@ -1,12 +1,17 @@
 //! Property-based tests of the executor itself under adversarial schedules:
 //! random scripts of spawns, sleeps, yields, and channel traffic must run
 //! deterministically (identical final clock and event count on every run)
-//! and leave no live tasks behind after quiescence.
+//! and leave no live tasks behind after quiescence, and random sleep scripts
+//! must fire in exactly the order a `(deadline, registration order)` sort
+//! gives.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 
 use ddio_sim::sync::{bounded, unbounded};
-use ddio_sim::{Sim, SimDuration};
+use ddio_sim::{Sim, SimDuration, SimTime};
 
 /// One step of a task's random script.
 #[derive(Debug, Clone, Copy)]
@@ -74,8 +79,138 @@ fn run_scripts(sim: &mut Sim, scripts: &[Vec<Op>]) -> (u64, u64) {
     (end.as_nanos(), sim.events_processed())
 }
 
+/// A sleep length that stresses timer ordering: zero (completes without
+/// registering a timer), tiny values that make deadlines collide,
+/// millisecond values like the simulator's own traffic, and values around
+/// and beyond 2^48 ns.
+fn sleep_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(0u64),
+        1u64..4,
+        (1u64..4).prop_map(|ms| ms * 1_000_000),
+        (0u64..3).prop_map(|k| (1u64 << 48) - 1 + k),
+        (1u64 << 48)..(1u64 << 50),
+    ]
+}
+
+/// A `run_until` limit: before, among, or after the drawn deadlines.
+fn limit_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..8, 0u64..5_000_000, (1u64 << 48)..(1u64 << 51)]
+}
+
+/// One completed sleep: `(task, step, clock in ns when it completed)`.
+type Fired = (usize, usize, u64);
+
+/// Spawns one task per script, each sleeping through its script and logging
+/// every completed step.
+fn spawn_sleepers(sim: &mut Sim, scripts: &[Vec<u64>]) -> Rc<RefCell<Vec<Fired>>> {
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let ctx = sim.context();
+    for (task, script) in scripts.iter().cloned().enumerate() {
+        let ctx = ctx.clone();
+        let log = Rc::clone(&log);
+        sim.spawn(async move {
+            for (step, ns) in script.into_iter().enumerate() {
+                ctx.sleep(SimDuration::from_nanos(ns)).await;
+                log.borrow_mut().push((task, step, ctx.now().as_nanos()));
+            }
+        });
+    }
+    log
+}
+
+/// Runs `script` of `task` from `step` at `now` until it registers a timer
+/// (a nonzero sleep) or ends; zero sleeps complete on the spot.
+fn advance(
+    script: &[u64],
+    task: usize,
+    mut step: usize,
+    now: u64,
+    registered: &mut u64,
+    pending: &mut Vec<(u64, u64, usize, usize)>,
+    out: &mut Vec<Fired>,
+) {
+    while let Some(&ns) = script.get(step) {
+        if ns > 0 {
+            pending.push((now + ns, *registered, task, step));
+            *registered += 1;
+            return;
+        }
+        out.push((task, step, now));
+        step += 1;
+    }
+}
+
+/// The reference order for [`spawn_sleepers`] run up to `limit`: tasks start
+/// in spawn order, then the pending timer with the least `(deadline,
+/// registration number)` fires, one at a time. A linear scan, so it shares
+/// no code or data structure with the executor. Also reports whether timers
+/// are still pending.
+fn reference_order(scripts: &[Vec<u64>], limit: u64) -> (Vec<Fired>, bool) {
+    let mut out = Vec::new();
+    let mut pending = Vec::new();
+    let mut registered = 0u64;
+    for (task, script) in scripts.iter().enumerate() {
+        advance(script, task, 0, 0, &mut registered, &mut pending, &mut out);
+    }
+    while let Some(next) = (0..pending.len()).min_by_key(|&i| (pending[i].0, pending[i].1)) {
+        let (deadline, _, task, step) = pending[next];
+        if deadline > limit {
+            break;
+        }
+        pending.swap_remove(next);
+        out.push((task, step, deadline));
+        advance(
+            &scripts[task],
+            task,
+            step + 1,
+            deadline,
+            &mut registered,
+            &mut pending,
+            &mut out,
+        );
+    }
+    (out, !pending.is_empty())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random sleep scripts — same-deadline ties, zero sleeps, deadlines past
+    /// 2^48 ns — fire in `(deadline, registration order)` order, both when
+    /// paused at a `run_until` limit and when run to the end, and a reset
+    /// simulator (even one reset with timers still pending) replays them
+    /// identically.
+    #[test]
+    fn timers_fire_in_deadline_then_registration_order(
+        scripts in prop::collection::vec(prop::collection::vec(sleep_strategy(), 0..6), 1..12),
+        limit in limit_strategy(),
+    ) {
+        let mut sim = Sim::new();
+        let log = spawn_sleepers(&mut sim, &scripts);
+        let (prefix, pending) = reference_order(&scripts, limit);
+        let stop = sim.run_until(SimTime::from_nanos(limit)).as_nanos();
+        prop_assert_eq!(&*log.borrow(), &prefix, "order up to the limit");
+        let last = prefix.last().map_or(0, |&(_, _, at)| at);
+        prop_assert_eq!(stop, if pending && limit > last { limit } else { last });
+
+        let (expected, _) = reference_order(&scripts, u64::MAX);
+        sim.run();
+        prop_assert_eq!(&*log.borrow(), &expected, "order to the end");
+        prop_assert_eq!(sim.live_tasks(), 0);
+        // One poll per task start, plus a firing and a poll per timer.
+        let timers = scripts.iter().flatten().filter(|&&ns| ns > 0).count() as u64;
+        prop_assert_eq!(sim.events_processed(), scripts.len() as u64 + 2 * timers);
+
+        sim.reset();
+        spawn_sleepers(&mut sim, &scripts);
+        sim.run_until(SimTime::from_nanos(limit));
+        sim.reset();
+        let log = spawn_sleepers(&mut sim, &scripts);
+        sim.run();
+        prop_assert_eq!(&*log.borrow(), &expected, "order after reset");
+        prop_assert_eq!(sim.events_processed(), scripts.len() as u64 + 2 * timers);
+    }
 
     /// Any random script set runs to quiescence with an identical
     /// `(final time, events_processed)` on every execution — on a fresh
