@@ -5,20 +5,26 @@
 //! ddio-bench list [--format table|json]
 //! ddio-bench run <scenario>|all [--jobs N] [--format table|json|csv]
 //!                [--out FILE] [--trials N] [--seed N] [--file-mb N]
-//!                [--small-records 0|1] [--sched LIST] [--cache LIST]
-//!                [--cache-bufs N] [--topology LIST] [--net LIST]
+//!                [--small-records 0|1] [--cache-bufs N] [--perf]
+//!                [--sched LIST] [--cache LIST] [--topology LIST] [--net LIST]
+//!                [--faults LIST] [--redundancy LIST] [--arrival LIST]
+//!                [--qos LIST]
 //! ```
 //!
 //! The `DDIO_*` environment variables provide the defaults (see the crate
-//! docs); the flags override them. All parsing errors are reported before
-//! any simulation starts.
+//! docs); the numeric flags override them. The eight policy flags are the
+//! rows of [`AXES`] and filter cells (see [`Axis`]). All parsing errors are
+//! reported before any simulation starts.
 
+use std::fmt;
 use std::io::Write;
 
 use ddio_core::experiment::pool;
-use ddio_core::experiment::scenario::{self, Scenario};
+use ddio_core::experiment::scenario::{self, Cell, Scenario, SweepParams};
 use ddio_core::{
-    ArrivalSet, CacheSet, ContentionSet, FaultSet, QosSet, RedundancySet, SchedSet, TopologySet,
+    ArrivalProcess, CacheConfig, CacheFilter, CacheSet, ContentionModel, FaultPolicy, Policy,
+    PolicySet, PrefetchPolicy, QosPolicy, RedundancyPolicy, ReplacementPolicy, SchedPolicy,
+    TopologyKind, WritePolicy,
 };
 
 use crate::report::{self, ScenarioRun};
@@ -33,6 +39,169 @@ pub enum Format {
     Json,
     /// One CSV row per cell.
     Csv,
+}
+
+/// One policy axis of `ddio-bench run`: the flag that filters cells on it
+/// and, for machine-wide policies, the `DDIO_*` variable that sets it.
+///
+/// A flag narrows every scenario whose cells take two or more distinct
+/// values on its axis. Cells with a listed value stay, and so do cells with
+/// no value on the axis (cacheless DDIO under `--cache`). A scenario fixed
+/// on the axis runs whole.
+pub struct Axis {
+    /// The `run` flag, e.g. `"--sched"`.
+    pub flag: &'static str,
+    /// What one value of the axis is called, e.g. `"scheduling policy"`.
+    pub noun: &'static str,
+    /// The accepted values, for `--help` and error messages.
+    pub expected: fn() -> String,
+    /// Parses the flag's comma-separated list into the admitted values, one
+    /// bit per `value_of` index.
+    parse: fn(&str) -> Result<u64, String>,
+    /// The index of a cell's value on the axis; `None` if it has none.
+    value_of: fn(&Cell) -> Option<usize>,
+    /// The `DDIO_*` variable holding the machine-wide value, and its setter.
+    pub env: Option<(&'static str, SetDefault)>,
+}
+
+/// Applies one name of an axis's `DDIO_*` variable to the scale; `None` if
+/// the name is unknown.
+pub type SetDefault = fn(&mut Scale, &str) -> Option<()>;
+
+impl fmt::Debug for Axis {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.flag)
+    }
+}
+
+impl Axis {
+    /// True if `cells` take two or more distinct values on this axis.
+    fn varies(&self, cells: &[Cell]) -> bool {
+        let mut values = cells.iter().filter_map(self.value_of);
+        let first = values.next();
+        values.any(|v| Some(v) != first)
+    }
+}
+
+/// Every policy axis `run` can filter, in `--help` order.
+pub static AXES: [Axis; 8] = [
+    policy_axis::<SchedPolicy>("--sched", |c| Some(c.method.sched().index()), None),
+    Axis {
+        flag: "--cache",
+        noun: "cache composition",
+        expected: CacheFilter::expected,
+        parse: cache_bits,
+        value_of: |c| c.method.cache().map(cache_index),
+        env: None,
+    },
+    policy_axis::<TopologyKind>(
+        "--topology",
+        |c| Some(c.config.fabric.topology.index()),
+        Some(("DDIO_NET_TOPOLOGY", |s, v| {
+            TopologyKind::parse(v).map(|p| s.topology = p)
+        })),
+    ),
+    policy_axis::<ContentionModel>(
+        "--net",
+        |c| Some(c.config.fabric.contention.index()),
+        Some(("DDIO_NET_CONTENTION", |s, v| {
+            ContentionModel::parse(v).map(|p| s.contention = p)
+        })),
+    ),
+    policy_axis::<FaultPolicy>(
+        "--faults",
+        |c| Some(c.config.faults.index()),
+        Some(("DDIO_FAULT_POLICY", |s, v| {
+            FaultPolicy::parse(v).map(|p| s.faults = p)
+        })),
+    ),
+    policy_axis::<RedundancyPolicy>(
+        "--redundancy",
+        |c| Some(c.config.redundancy.index()),
+        Some(("DDIO_FAULT_REDUNDANCY", |s, v| {
+            RedundancyPolicy::parse(v).map(|p| s.redundancy = p)
+        })),
+    ),
+    policy_axis::<ArrivalProcess>(
+        "--arrival",
+        |c| Some(c.config.serve.arrival.index()),
+        Some(("DDIO_ARRIVAL_PROCESS", |s, v| {
+            ArrivalProcess::parse(v).map(|p| s.arrival = p)
+        })),
+    ),
+    policy_axis::<QosPolicy>(
+        "--qos",
+        |c| Some(c.config.serve.qos.index()),
+        Some(("DDIO_ARRIVAL_QOS", |s, v| {
+            QosPolicy::parse(v).map(|p| s.qos = p)
+        })),
+    ),
+];
+
+/// The [`AXES`] row of a policy enum.
+const fn policy_axis<P: Policy>(
+    flag: &'static str,
+    value_of: fn(&Cell) -> Option<usize>,
+    env: Option<(&'static str, SetDefault)>,
+) -> Axis {
+    Axis {
+        flag,
+        noun: P::NOUN,
+        expected: P::expected,
+        parse: policy_bits::<P>,
+        value_of,
+        env,
+    }
+}
+
+/// [`Axis::parse`] for a policy enum: one bit per [`Policy::index`].
+fn policy_bits<P: Policy>(list: &str) -> Result<u64, String> {
+    let set = PolicySet::<P>::parse_list(list)?;
+    Ok(set.iter().fold(0, |bits, p| bits | 1 << p.index()))
+}
+
+/// A cache composition's index among all of them (replacement-major).
+fn cache_index(c: CacheConfig) -> usize {
+    (c.replacement.index() * PrefetchPolicy::ALL.len() + c.prefetch.index())
+        * WritePolicy::ALL.len()
+        + c.write.index()
+}
+
+/// [`Axis::parse`] for `--cache`: one bit per composition any element of
+/// the [`CacheSet`] matches.
+fn cache_bits(list: &str) -> Result<u64, String> {
+    let set = CacheSet::parse_list(list)?;
+    let mut bits = 0;
+    for replacement in ReplacementPolicy::ALL {
+        for prefetch in PrefetchPolicy::ALL {
+            for write in WritePolicy::ALL {
+                let config = CacheConfig {
+                    replacement,
+                    prefetch,
+                    write,
+                };
+                if set.matches(config) {
+                    bits |= 1 << cache_index(config);
+                }
+            }
+        }
+    }
+    Ok(bits)
+}
+
+/// A parsed axis flag: the axis and the values it admits.
+#[derive(Debug, Clone, Copy)]
+pub struct AxisFilter {
+    /// The filtered axis.
+    pub axis: &'static Axis,
+    admitted: u64,
+}
+
+impl AxisFilter {
+    /// True if `cell` has no value on the axis or an admitted one.
+    pub fn admits(&self, cell: &Cell) -> bool {
+        (self.axis.value_of)(cell).map_or(true, |v| self.admitted & (1 << v) != 0)
+    }
 }
 
 /// A fully parsed `run` invocation.
@@ -51,30 +220,11 @@ pub struct RunCommand {
     pub perf: bool,
     /// Scaling knobs after environment + flag resolution.
     pub scale: Scale,
-    /// Scheduling policies the `sched-sweep` scenario runs (all by default;
-    /// other scenarios fix their own policies and ignore this).
-    pub scheds: SchedSet,
-    /// Cache compositions the `cache-sweep` scenario runs (all by default;
-    /// other scenarios fix their own composition and ignore this).
-    pub caches: CacheSet,
-    /// Topologies the `net-sweep` scenario runs (all by default; other
-    /// scenarios run the machine-wide fabric from `DDIO_NET_TOPOLOGY`).
-    pub topologies: TopologySet,
-    /// Contention models the `net-sweep` scenario runs (all by default).
-    pub contentions: ContentionSet,
-    /// Fault policies the `fault-sweep` scenario runs (all by default;
-    /// other scenarios use the machine-wide `DDIO_FAULT_POLICY`).
-    pub fault_policies: FaultSet,
-    /// Redundancy policies the `fault-sweep` scenario runs (all by default).
-    pub redundancies: RedundancySet,
-    /// Arrival processes the `serve-sweep` scenario runs (all by default;
-    /// other scenarios use the machine-wide `DDIO_ARRIVAL_PROCESS`).
-    pub arrivals: ArrivalSet,
-    /// QoS policies the `serve-sweep` scenario runs (all by default).
-    pub qos_policies: QosSet,
+    /// One filter per policy flag given (none: every cell runs).
+    pub filters: Vec<AxisFilter>,
 }
 
-const USAGE: &str = "\
+const USAGE_HEAD: &str = "\
 ddio-bench: unified scenario runner for the disk-directed-I/O reproduction
 
 USAGE:
@@ -92,45 +242,44 @@ OPTIONS (run):
     --seed N              base random seed (default: env DDIO_SEED or 1994)
     --file-mb N           file size in MiB (default: env DDIO_FILE_MB or 10)
     --small-records 0|1   run the 8-byte-record half of fig3/fig4
-    --sched LIST          comma-separated policies for the sched-sweep
-                          scenario: fcfs|sstf|cscan|presort (default: all)
-    --cache LIST          comma-separated cache compositions for the
-                          cache-sweep scenario; each is +-separated policy
-                          names from lru|mru|clock, none|one|strided,
-                          through|onfull|watermark, or `default`
-                          (e.g. `mru,lru+strided`; default: all)
     --cache-bufs N        TC cache buffers per disk per CP (default:
                           env DDIO_CACHE_BUFS or 2)
-    --topology LIST       comma-separated topologies for the net-sweep
-                          scenario: torus|mesh|hypercube|crossbar
-                          (default: all)
-    --net LIST            comma-separated contention models for the
-                          net-sweep scenario: ni-only|link (default: all)
-    --faults LIST         comma-separated fault policies for the fault-sweep
-                          scenario: none|cacheless|worn|transient|failure
-                          (default: all)
-    --redundancy LIST     comma-separated redundancy policies for the
-                          fault-sweep scenario: none|mirror|parity
-                          (default: all)
-    --arrival LIST        comma-separated arrival processes for the
-                          serve-sweep scenario: poisson|bursty (default: all)
-    --qos LIST            comma-separated QoS policies for the serve-sweep
-                          scenario: fifo|fair-share|weighted|tenant-priority
-                          (default: all)
+";
 
-The machine-wide fabric of every other scenario comes from the environment:
-DDIO_NET_TOPOLOGY (default torus) and DDIO_NET_CONTENTION (default ni-only);
-likewise DDIO_FAULT_POLICY (default none) and DDIO_FAULT_REDUNDANCY (default
-none) set every other scenario's fault composition, and DDIO_ARRIVAL_PROCESS
-(default closed-loop) with DDIO_ARRIVAL_QOS, DDIO_ARRIVAL_TENANTS, and
-DDIO_ARRIVAL_REQUESTS set the machine-wide serving composition.
+const USAGE_TAIL: &str = "
+Each LIST is comma-separated (a --cache entry is a +-joined composition,
+e.g. `mru,lru+strided`). A LIST flag narrows every scenario whose cells
+differ on that policy; cells without one (cacheless DDIO under --cache)
+stay, and a scenario fixed on the policy runs whole. The env variables set
+the machine-wide policy of every scenario that does not sweep it (default:
+the paper's healthy, closed-loop torus); DDIO_ARRIVAL_TENANTS and
+DDIO_ARRIVAL_REQUESTS size the open-loop tenants.
 
 Scenarios (see `ddio-bench list` for descriptions and headline results):
 table1 fig3 fig4 fig5 fig6 fig7 fig8 mixed-rw degraded-disk sched-sweep
 cache-sweep record-cp-cross net-sweep fault-sweep serve-sweep";
 
+/// The `--help` text; the policy flags and their values come from [`AXES`].
+fn usage() -> String {
+    let mut out = USAGE_HEAD.to_owned();
+    for axis in &AXES {
+        let flag = format!("{} LIST", axis.flag);
+        out.push_str(&format!(
+            "    {flag:<22}keep cells whose {} is listed:\n{:26}{}\n",
+            axis.noun,
+            "",
+            (axis.expected)()
+        ));
+        if let Some((var, _)) = axis.env {
+            out.push_str(&format!("{:26}(machine-wide: env {var})\n", ""));
+        }
+    }
+    out.push_str(USAGE_TAIL);
+    out
+}
+
 fn usage_err(message: impl Into<String>) -> String {
-    format!("{}\n\n{USAGE}", message.into())
+    format!("{}\n\n{}", message.into(), usage())
 }
 
 /// Parses a numeric flag value that must be a positive integer.
@@ -157,15 +306,8 @@ pub fn parse_run(
     let mut seed: Option<u64> = None;
     let mut file_mib: Option<u64> = None;
     let mut small_records: Option<bool> = None;
-    let mut scheds = SchedSet::all();
-    let mut caches = CacheSet::all();
     let mut cache_bufs: Option<usize> = None;
-    let mut topologies = TopologySet::all();
-    let mut contentions = ContentionSet::all();
-    let mut fault_policies = FaultSet::all();
-    let mut redundancies = RedundancySet::all();
-    let mut arrivals = ArrivalSet::all();
-    let mut qos_policies = QosSet::all();
+    let mut filters: Vec<AxisFilter> = Vec::new();
     let mut perf = false;
 
     let mut it = args.iter();
@@ -205,50 +347,10 @@ pub fn parse_run(
             "--file-mb" => {
                 file_mib = Some(parse_at_least_one("--file-mb", &flag_value("--file-mb")?)?);
             }
-            "--sched" => {
-                let v = flag_value("--sched")?;
-                scheds =
-                    SchedSet::parse_list(&v).map_err(|e| usage_err(format!("--sched: {e}")))?;
-            }
-            "--cache" => {
-                let v = flag_value("--cache")?;
-                caches =
-                    CacheSet::parse_list(&v).map_err(|e| usage_err(format!("--cache: {e}")))?;
-            }
             "--cache-bufs" => {
                 cache_bufs = Some(
                     parse_at_least_one("--cache-bufs", &flag_value("--cache-bufs")?)? as usize,
                 );
-            }
-            "--topology" => {
-                let v = flag_value("--topology")?;
-                topologies = TopologySet::parse_list(&v)
-                    .map_err(|e| usage_err(format!("--topology: {e}")))?;
-            }
-            "--net" => {
-                let v = flag_value("--net")?;
-                contentions =
-                    ContentionSet::parse_list(&v).map_err(|e| usage_err(format!("--net: {e}")))?;
-            }
-            "--faults" => {
-                let v = flag_value("--faults")?;
-                fault_policies =
-                    FaultSet::parse_list(&v).map_err(|e| usage_err(format!("--faults: {e}")))?;
-            }
-            "--redundancy" => {
-                let v = flag_value("--redundancy")?;
-                redundancies = RedundancySet::parse_list(&v)
-                    .map_err(|e| usage_err(format!("--redundancy: {e}")))?;
-            }
-            "--arrival" => {
-                let v = flag_value("--arrival")?;
-                arrivals =
-                    ArrivalSet::parse_list(&v).map_err(|e| usage_err(format!("--arrival: {e}")))?;
-            }
-            "--qos" => {
-                let v = flag_value("--qos")?;
-                qos_policies =
-                    QosSet::parse_list(&v).map_err(|e| usage_err(format!("--qos: {e}")))?;
             }
             "--small-records" => {
                 let v = flag_value("--small-records")?;
@@ -263,7 +365,15 @@ pub fn parse_run(
                 });
             }
             flag if flag.starts_with("--") => {
-                return Err(usage_err(format!("unknown option {flag:?}")))
+                let axis = AXES
+                    .iter()
+                    .find(|a| a.flag == flag)
+                    .ok_or_else(|| usage_err(format!("unknown option {flag:?}")))?;
+                let admitted = (axis.parse)(&flag_value(flag)?)
+                    .map_err(|e| usage_err(format!("{flag}: {e}")))?;
+                // A repeated flag replaces its earlier value.
+                filters.retain(|f| f.axis.flag != flag);
+                filters.push(AxisFilter { axis, admitted });
             }
             name => targets.push(name.to_owned()),
         }
@@ -326,15 +436,29 @@ pub fn parse_run(
         out,
         perf,
         scale,
-        scheds,
-        caches,
-        topologies,
-        contentions,
-        fault_policies,
-        redundancies,
-        arrivals,
-        qos_policies,
+        filters,
     })
+}
+
+/// The cells each scenario of `cmd` runs once the axis filters narrowed
+/// it. Each cell's seed derives from its own identity, so dropping cells
+/// never moves the numbers of the cells that stay.
+fn scenario_cells(cmd: &RunCommand, params: &SweepParams) -> Vec<Vec<Cell>> {
+    cmd.scenarios
+        .iter()
+        .map(|s| {
+            let cells = (s.build)(params);
+            let narrowing: Vec<&AxisFilter> = cmd
+                .filters
+                .iter()
+                .filter(|f| f.axis.varies(&cells))
+                .collect();
+            cells
+                .into_iter()
+                .filter(|c| narrowing.iter().all(|f| f.admits(c)))
+                .collect()
+        })
+        .collect()
 }
 
 /// Executes a parsed `run`: all cells of all requested scenarios go through
@@ -345,39 +469,7 @@ pub fn execute_run(cmd: &RunCommand) -> Result<String, String> {
     // can't leave workers idle while a big one still has cells queued.
     let mut cells = Vec::new();
     let mut spans = Vec::new();
-    for s in &cmd.scenarios {
-        let mut scenario_cells = (s.build)(&params);
-        if s.name == "sched-sweep" {
-            // `--sched` narrows the policy sweep; each cell's seed derives
-            // from its own identity, so dropping cells never moves numbers.
-            scenario_cells.retain(|c| cmd.scheds.contains(c.method.sched()));
-        }
-        if s.name == "cache-sweep" {
-            // Likewise for `--cache`; the cacheless DDIO baseline always
-            // stays so filtered runs keep their comparison point.
-            scenario_cells.retain(|c| c.method.cache().map_or(true, |cfg| cmd.caches.matches(cfg)));
-        }
-        if s.name == "net-sweep" {
-            // `--topology` / `--net` narrow the fabric sweep the same way.
-            scenario_cells.retain(|c| {
-                cmd.topologies.contains(c.config.fabric.topology)
-                    && cmd.contentions.contains(c.config.fabric.contention)
-            });
-        }
-        if s.name == "fault-sweep" {
-            // `--faults` / `--redundancy` narrow the fault sweep the same way.
-            scenario_cells.retain(|c| {
-                cmd.fault_policies.contains(c.config.faults)
-                    && cmd.redundancies.contains(c.config.redundancy)
-            });
-        }
-        if s.name == "serve-sweep" {
-            // `--arrival` / `--qos` narrow the serving sweep the same way.
-            scenario_cells.retain(|c| {
-                cmd.arrivals.contains(c.config.serve.arrival)
-                    && cmd.qos_policies.contains(c.config.serve.qos)
-            });
-        }
+    for scenario_cells in scenario_cells(cmd, &params) {
         spans.push(scenario_cells.len());
         cells.extend(scenario_cells);
     }
@@ -482,7 +574,7 @@ fn parse_list_format(args: &[String]) -> Result<Format, String> {
 /// Full CLI entry point; returns the process exit code.
 pub fn main_from_args(args: Vec<String>) -> i32 {
     let Some(command) = args.first() else {
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
         return 2;
     };
     match command.as_str() {
@@ -532,11 +624,11 @@ pub fn main_from_args(args: Vec<String>) -> i32 {
             0
         }
         "--help" | "-h" | "help" => {
-            println!("{USAGE}");
+            println!("{}", usage());
             0
         }
         other => {
-            eprintln!("ddio-bench: unknown command {other:?}\n\n{USAGE}");
+            eprintln!("ddio-bench: unknown command {other:?}\n\n{}", usage());
             2
         }
     }
@@ -604,79 +696,72 @@ mod tests {
         assert_eq!(cmd.scale.trials, 3);
     }
 
+    /// One filtered sweep per row: (arguments, labels that must stay,
+    /// labels that must be gone). Together the rows exercise every axis.
+    const AXIS_RUNS: [(&str, &[&str], &[&str]); 5] = [
+        (
+            "sched-sweep --sched fcfs,presort",
+            &["DDIO(sort)", "DDIO"],
+            &["cscan"],
+        ),
+        (
+            "cache-sweep --cache mru,default",
+            // The cacheless DDIO baseline survives the filter.
+            &["TC[mru+one+onfull]", "TC", "DDIO(sort)"],
+            &["clock"],
+        ),
+        (
+            "net-sweep --topology torus,crossbar --net link",
+            &["topology=torus net=link", "topology=crossbar net=link"],
+            &["topology=mesh", "net=ni-only"],
+        ),
+        (
+            "fault-sweep --faults none,failure --redundancy none,mirror",
+            &[
+                "faults=failure redundancy=mirror",
+                "faults=none redundancy=none",
+            ],
+            &["faults=transient", "redundancy=parity"],
+        ),
+        (
+            "serve-sweep --arrival poisson --qos fifo,weighted",
+            &["arrival=poisson qos=fifo", "qos=weighted"],
+            &["arrival=bursty", "qos=fair-share"],
+        ),
+    ];
+
+    /// Runs row `row` of [`AXIS_RUNS`] and checks what it kept and dropped.
+    fn check_axis_run(row: usize, filters: usize) {
+        let (run, kept, dropped) = AXIS_RUNS[row];
+        let argv: Vec<&str> = run.split(' ').chain(["--jobs", "2"]).collect();
+        let cmd = parse_run(&args(&argv), smoke_env).unwrap();
+        assert_eq!(cmd.filters.len(), filters, "{run:?}");
+        let out = execute_run(&cmd).unwrap();
+        for label in kept {
+            assert!(out.contains(label), "{run:?} lost {label}:\n{out}");
+        }
+        for label in dropped {
+            assert!(!out.contains(label), "{run:?} still ran {label}:\n{out}");
+        }
+    }
+
     #[test]
     fn sched_flag_filters_the_sweep() {
-        use ddio_core::SchedPolicy;
-        let cmd = parse_run(
-            &args(&["sched-sweep", "--sched", "fcfs,presort", "--jobs", "2"]),
-            smoke_env,
-        )
-        .unwrap();
-        assert!(cmd.scheds.contains(SchedPolicy::Fcfs));
-        assert!(cmd.scheds.contains(SchedPolicy::Presort));
-        assert!(!cmd.scheds.contains(SchedPolicy::Cscan));
-        let out = execute_run(&cmd).unwrap();
-        assert!(out.contains("DDIO(sort)") && out.contains("DDIO"));
-        assert!(!out.contains("cscan"), "filtered policy still ran:\n{out}");
-
+        check_axis_run(0, 1);
         let err = parse_run(&args(&["sched-sweep", "--sched", "elevator"]), smoke_env).unwrap_err();
         assert!(err.contains("unknown scheduling policy"), "{err}");
     }
 
     #[test]
     fn cache_flag_filters_the_sweep() {
-        use ddio_core::CacheConfig;
-        let cmd = parse_run(
-            &args(&["cache-sweep", "--cache", "mru,default", "--jobs", "2"]),
-            smoke_env,
-        )
-        .unwrap();
-        assert!(cmd.caches.matches(CacheConfig::parse("mru").unwrap()));
-        assert!(cmd.caches.matches(CacheConfig::DEFAULT));
-        assert!(!cmd.caches.matches(CacheConfig::parse("clock").unwrap()));
-        let out = execute_run(&cmd).unwrap();
-        assert!(out.contains("TC[mru+one+onfull]"));
-        assert!(out.contains("TC"), "default composition kept");
-        assert!(
-            out.contains("DDIO(sort)"),
-            "the baseline survives the filter:\n{out}"
-        );
-        assert!(!out.contains("clock"), "filtered composition ran:\n{out}");
-
+        check_axis_run(1, 1);
         let err = parse_run(&args(&["cache-sweep", "--cache", "arc"]), smoke_env).unwrap_err();
         assert!(err.contains("unknown cache policy"), "{err}");
     }
 
     #[test]
     fn topology_and_net_flags_filter_the_fabric_sweep() {
-        use ddio_core::{ContentionModel, TopologyKind};
-        let cmd = parse_run(
-            &args(&[
-                "net-sweep",
-                "--topology",
-                "torus,crossbar",
-                "--net",
-                "link",
-                "--jobs",
-                "2",
-            ]),
-            smoke_env,
-        )
-        .unwrap();
-        assert!(cmd.topologies.contains(TopologyKind::Torus));
-        assert!(cmd.topologies.contains(TopologyKind::Crossbar));
-        assert!(!cmd.topologies.contains(TopologyKind::Mesh));
-        assert!(cmd.contentions.contains(ContentionModel::Link));
-        assert!(!cmd.contentions.contains(ContentionModel::NiOnly));
-        let out = execute_run(&cmd).unwrap();
-        assert!(out.contains("topology=torus net=link"));
-        assert!(out.contains("topology=crossbar net=link"));
-        assert!(
-            !out.contains("topology=mesh"),
-            "filtered topology still ran:\n{out}"
-        );
-        assert!(!out.contains("net=ni-only"), "filtered model ran:\n{out}");
-
+        check_axis_run(2, 2);
         let err = parse_run(&args(&["net-sweep", "--topology", "ring"]), smoke_env).unwrap_err();
         assert!(err.contains("unknown topology"), "{err}");
         let err = parse_run(&args(&["net-sweep", "--net", "flit"]), smoke_env).unwrap_err();
@@ -685,37 +770,7 @@ mod tests {
 
     #[test]
     fn fault_flags_filter_the_sweep() {
-        use ddio_core::{FaultPolicy, RedundancyPolicy};
-        let cmd = parse_run(
-            &args(&[
-                "fault-sweep",
-                "--faults",
-                "none,failure",
-                "--redundancy",
-                "none,mirror",
-                "--jobs",
-                "2",
-            ]),
-            smoke_env,
-        )
-        .unwrap();
-        assert!(cmd.fault_policies.contains(FaultPolicy::None));
-        assert!(cmd.fault_policies.contains(FaultPolicy::Failure));
-        assert!(!cmd.fault_policies.contains(FaultPolicy::Transient));
-        assert!(cmd.redundancies.contains(RedundancyPolicy::Mirrored));
-        assert!(!cmd.redundancies.contains(RedundancyPolicy::Parity));
-        let out = execute_run(&cmd).unwrap();
-        assert!(out.contains("faults=failure redundancy=mirror"));
-        assert!(out.contains("faults=none redundancy=none"));
-        assert!(
-            !out.contains("faults=transient"),
-            "filtered policy still ran:\n{out}"
-        );
-        assert!(
-            !out.contains("redundancy=parity"),
-            "filtered redundancy still ran:\n{out}"
-        );
-
+        check_axis_run(3, 2);
         let err = parse_run(&args(&["fault-sweep", "--faults", "meteor"]), smoke_env).unwrap_err();
         assert!(err.contains("unknown fault policy"), "{err}");
         let err =
@@ -725,42 +780,91 @@ mod tests {
 
     #[test]
     fn arrival_and_qos_flags_filter_the_serving_sweep() {
-        use ddio_core::{ArrivalProcess, QosPolicy};
-        let cmd = parse_run(
-            &args(&[
-                "serve-sweep",
-                "--arrival",
-                "poisson",
-                "--qos",
-                "fifo,weighted",
-                "--jobs",
-                "2",
-            ]),
-            smoke_env,
-        )
-        .unwrap();
-        assert!(cmd.arrivals.contains(ArrivalProcess::Poisson));
-        assert!(!cmd.arrivals.contains(ArrivalProcess::Bursty));
-        assert!(cmd.qos_policies.contains(QosPolicy::Fifo));
-        assert!(cmd.qos_policies.contains(QosPolicy::Weighted));
-        assert!(!cmd.qos_policies.contains(QosPolicy::FairShare));
-        let out = execute_run(&cmd).unwrap();
-        assert!(out.contains("arrival=poisson qos=fifo"));
-        assert!(out.contains("qos=weighted"));
-        assert!(
-            !out.contains("arrival=bursty"),
-            "filtered arrival still ran:\n{out}"
-        );
-        assert!(
-            !out.contains("qos=fair-share"),
-            "filtered QoS policy still ran:\n{out}"
-        );
-
+        check_axis_run(4, 2);
         let err =
             parse_run(&args(&["serve-sweep", "--arrival", "drizzle"]), smoke_env).unwrap_err();
         assert!(err.contains("unknown arrival process"), "{err}");
         let err = parse_run(&args(&["serve-sweep", "--qos", "anarchy"]), smoke_env).unwrap_err();
         assert!(err.contains("unknown QoS policy"), "{err}");
+    }
+
+    #[test]
+    fn axis_flags_filter_their_sweeps() {
+        // Every axis is exercised by a row of AXIS_RUNS, and each rejects an
+        // unknown value before anything runs, naming the flag and every
+        // accepted value.
+        for axis in &AXES {
+            assert!(
+                AXIS_RUNS
+                    .iter()
+                    .any(|(run, _, _)| run.split(' ').any(|a| a == axis.flag)),
+                "{} is never exercised",
+                axis.flag
+            );
+            let err = parse_run(&args(&["all", axis.flag, "bogus"]), smoke_env).unwrap_err();
+            let unknown = match axis.flag {
+                "--cache" => "unknown cache policy".to_owned(),
+                _ => format!("unknown {}", axis.noun),
+            };
+            assert!(
+                err.starts_with(&format!("{}: {unknown}", axis.flag)),
+                "{err}"
+            );
+            assert!(err.contains(&(axis.expected)()), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_filter_narrows_every_scenario_that_varies_its_axis() {
+        use ddio_core::Method;
+        let cmd = parse_run(&args(&["fig3", "--sched", "presort"]), smoke_env).unwrap();
+        let cells = scenario_cells(&cmd, &cmd.scale.sweep_params());
+        assert!(!cells[0].is_empty());
+        assert!(cells[0].iter().all(|c| c.method == Method::DDIO_SORTED));
+        let out = execute_run(&cmd).unwrap();
+        assert!(out.contains("Figure 3b"), "{out}");
+        let header = out.lines().find(|l| l.starts_with("pattern")).unwrap();
+        let columns: Vec<&str> = header.split_whitespace().collect();
+        assert_eq!(columns, ["pattern", "DDIO(sort)", "max", "cv"]);
+
+        // Scenarios fixed on the axis (or with no cells at all) run whole.
+        let whole = parse_run(&args(&["table1", "fig4"]), smoke_env).unwrap();
+        let mesh = parse_run(&args(&["table1", "fig4", "--topology", "mesh"]), smoke_env).unwrap();
+        let count = |cmd: &RunCommand| -> Vec<usize> {
+            scenario_cells(cmd, &cmd.scale.sweep_params())
+                .iter()
+                .map(Vec::len)
+                .collect()
+        };
+        assert_eq!(count(&mesh), count(&whole));
+        assert!(count(&whole)[1] > 0);
+    }
+
+    #[test]
+    fn help_lists_every_axis_with_its_values() {
+        let help = usage();
+        for axis in &AXES {
+            assert!(help.contains(&format!("{} LIST", axis.flag)), "{help}");
+            assert!(help.contains(&(axis.expected)()), "{help}");
+            if let Some((var, _)) = axis.env {
+                assert!(help.contains(var), "{help}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_repeated_axis_flag_keeps_its_last_value() {
+        let cmd = parse_run(
+            &args(&["fig3", "--sched", "fcfs", "--sched", "presort"]),
+            smoke_env,
+        )
+        .unwrap();
+        assert_eq!(cmd.filters.len(), 1);
+        let cells = scenario_cells(&cmd, &cmd.scale.sweep_params());
+        assert!(!cells[0].is_empty());
+        assert!(cells[0]
+            .iter()
+            .all(|c| c.method.sched() == SchedPolicy::Presort));
     }
 
     #[test]

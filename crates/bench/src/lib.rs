@@ -30,6 +30,13 @@
 //!
 //! Zero or unparseable values are rejected at startup with a clear error
 //! (see [`Scale::from_env`]) instead of panicking mid-run.
+//!
+//! The six policy variables are rows of [`cli::AXES`]: each sets the policy
+//! of every cell a scenario does not sweep itself. Its `run` flag
+//! (`--topology`, `--net`, `--faults`, `--redundancy`, `--arrival`,
+//! `--qos`) leaves that default alone and filters cells instead, in every
+//! scenario whose cells take two or more values on the policy (see
+//! [`cli::Axis`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -108,7 +115,7 @@ pub struct ScaleError {
     /// The value it held.
     pub value: String,
     /// Why it was rejected.
-    pub reason: &'static str,
+    pub reason: String,
 }
 
 impl fmt::Display for ScaleError {
@@ -123,32 +130,26 @@ impl fmt::Display for ScaleError {
 
 impl std::error::Error for ScaleError {}
 
-/// Parses one knob: unset or blank keeps the default; anything else must be
-/// a non-negative integer, optionally bounded below by `min`.
-fn parse_knob(var: &str, raw: Option<String>, min: u64, slot: &mut u64) -> Result<(), ScaleError> {
-    let Some(raw) = raw else { return Ok(()) };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(());
-    }
-    let parsed: u64 = trimmed.parse().map_err(|_| ScaleError {
+/// Reads one integer knob: `None` if unset or blank, else a non-negative
+/// integer of at least `min`.
+fn knob(
+    lookup: &impl Fn(&str) -> Option<String>,
+    var: &str,
+    min: u64,
+) -> Result<Option<u64>, ScaleError> {
+    let Some(raw) = lookup(var).filter(|v| !v.trim().is_empty()) else {
+        return Ok(None);
+    };
+    let invalid = |reason: String| ScaleError {
         var: var.to_owned(),
         value: raw.clone(),
-        reason: "expected an unsigned integer",
-    })?;
-    if parsed < min {
-        return Err(ScaleError {
-            var: var.to_owned(),
-            value: raw,
-            reason: if min == 1 {
-                "must be at least 1"
-            } else {
-                "value too small"
-            },
-        });
+        reason,
+    };
+    match raw.trim().parse::<u64>() {
+        Ok(n) if n >= min => Ok(Some(n)),
+        Ok(_) => Err(invalid(format!("must be at least {min}"))),
+        Err(_) => Err(invalid("expected an unsigned integer".to_owned())),
     }
-    *slot = parsed;
-    Ok(())
 }
 
 impl Scale {
@@ -165,85 +166,37 @@ impl Scale {
     /// [`Scale::from_env`] with an injectable variable source, for tests.
     pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Scale, ScaleError> {
         let mut s = Scale::default();
-        parse_knob("DDIO_FILE_MB", lookup("DDIO_FILE_MB"), 1, &mut s.file_mib)?;
-        let mut trials = s.trials as u64;
-        parse_knob("DDIO_TRIALS", lookup("DDIO_TRIALS"), 1, &mut trials)?;
-        s.trials = trials as usize;
-        let mut small = u64::from(s.small_records);
-        parse_knob(
-            "DDIO_SMALL_RECORDS",
-            lookup("DDIO_SMALL_RECORDS"),
-            0,
-            &mut small,
-        )?;
-        s.small_records = small != 0;
-        parse_knob("DDIO_SEED", lookup("DDIO_SEED"), 0, &mut s.seed)?;
-        let mut cache_bufs = s.cache_bufs as u64;
-        parse_knob(
-            "DDIO_CACHE_BUFS",
-            lookup("DDIO_CACHE_BUFS"),
-            1,
-            &mut cache_bufs,
-        )?;
-        s.cache_bufs = cache_bufs as usize;
-        if let Some(raw) = lookup("DDIO_NET_TOPOLOGY").filter(|v| !v.trim().is_empty()) {
-            s.topology = TopologyKind::parse(raw.trim()).ok_or_else(|| ScaleError {
-                var: "DDIO_NET_TOPOLOGY".to_owned(),
-                value: raw.clone(),
-                reason: "expected torus, mesh, hypercube, or crossbar",
-            })?;
+        if let Some(v) = knob(&lookup, "DDIO_FILE_MB", 1)? {
+            s.file_mib = v;
         }
-        if let Some(raw) = lookup("DDIO_NET_CONTENTION").filter(|v| !v.trim().is_empty()) {
-            s.contention = ContentionModel::parse(raw.trim()).ok_or_else(|| ScaleError {
-                var: "DDIO_NET_CONTENTION".to_owned(),
-                value: raw.clone(),
-                reason: "expected ni-only or link",
-            })?;
+        if let Some(v) = knob(&lookup, "DDIO_TRIALS", 1)? {
+            s.trials = v as usize;
         }
-        if let Some(raw) = lookup("DDIO_FAULT_POLICY").filter(|v| !v.trim().is_empty()) {
-            s.faults = FaultPolicy::parse(raw.trim()).ok_or_else(|| ScaleError {
-                var: "DDIO_FAULT_POLICY".to_owned(),
-                value: raw.clone(),
-                reason: "expected none, cacheless, worn, transient, or failure",
-            })?;
+        if let Some(v) = knob(&lookup, "DDIO_SMALL_RECORDS", 0)? {
+            s.small_records = v != 0;
         }
-        if let Some(raw) = lookup("DDIO_FAULT_REDUNDANCY").filter(|v| !v.trim().is_empty()) {
-            s.redundancy = RedundancyPolicy::parse(raw.trim()).ok_or_else(|| ScaleError {
-                var: "DDIO_FAULT_REDUNDANCY".to_owned(),
-                value: raw.clone(),
-                reason: "expected none, mirror, or parity",
-            })?;
+        if let Some(v) = knob(&lookup, "DDIO_SEED", 0)? {
+            s.seed = v;
         }
-        if let Some(raw) = lookup("DDIO_ARRIVAL_PROCESS").filter(|v| !v.trim().is_empty()) {
-            s.arrival = ArrivalProcess::parse(raw.trim()).ok_or_else(|| ScaleError {
-                var: "DDIO_ARRIVAL_PROCESS".to_owned(),
-                value: raw.clone(),
-                reason: "expected closed-loop, poisson, or bursty",
-            })?;
+        if let Some(v) = knob(&lookup, "DDIO_CACHE_BUFS", 1)? {
+            s.cache_bufs = v as usize;
         }
-        if let Some(raw) = lookup("DDIO_ARRIVAL_QOS").filter(|v| !v.trim().is_empty()) {
-            s.qos = QosPolicy::parse(raw.trim()).ok_or_else(|| ScaleError {
-                var: "DDIO_ARRIVAL_QOS".to_owned(),
-                value: raw.clone(),
-                reason: "expected fifo, fair-share, weighted, or tenant-priority",
-            })?;
+        for axis in &cli::AXES {
+            let Some((var, set)) = axis.env else { continue };
+            if let Some(raw) = lookup(var).filter(|v| !v.trim().is_empty()) {
+                set(&mut s, raw.trim()).ok_or_else(|| ScaleError {
+                    var: var.to_owned(),
+                    value: raw.clone(),
+                    reason: format!("expected {}", (axis.expected)()),
+                })?;
+            }
         }
-        let mut tenants = s.tenants as u64;
-        parse_knob(
-            "DDIO_ARRIVAL_TENANTS",
-            lookup("DDIO_ARRIVAL_TENANTS"),
-            1,
-            &mut tenants,
-        )?;
-        s.tenants = tenants as usize;
-        let mut requests = s.requests_per_tenant as u64;
-        parse_knob(
-            "DDIO_ARRIVAL_REQUESTS",
-            lookup("DDIO_ARRIVAL_REQUESTS"),
-            1,
-            &mut requests,
-        )?;
-        s.requests_per_tenant = requests as usize;
+        if let Some(v) = knob(&lookup, "DDIO_ARRIVAL_TENANTS", 1)? {
+            s.tenants = v as usize;
+        }
+        if let Some(v) = knob(&lookup, "DDIO_ARRIVAL_REQUESTS", 1)? {
+            s.requests_per_tenant = v as usize;
+        }
         Ok(s)
     }
 
@@ -435,6 +388,19 @@ mod tests {
         assert_eq!(err.var, "DDIO_ARRIVAL_TENANTS");
         let err = Scale::from_lookup(lookup_of(&[("DDIO_ARRIVAL_REQUESTS", "0")])).unwrap_err();
         assert_eq!(err.var, "DDIO_ARRIVAL_REQUESTS");
+    }
+
+    #[test]
+    fn policy_variables_name_every_accepted_value() {
+        for axis in &cli::AXES {
+            let Some((var, _)) = axis.env else { continue };
+            let err = Scale::from_lookup(lookup_of(&[(var, "bogus")])).unwrap_err();
+            assert_eq!(err.var, var);
+            assert_eq!(
+                err.to_string(),
+                format!("{var}=\"bogus\" is invalid: expected {}", (axis.expected)())
+            );
+        }
     }
 
     #[test]

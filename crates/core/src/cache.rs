@@ -42,6 +42,7 @@
 //! scanning and ranking every entry.
 
 use ddio_sim::sync::Event;
+use ddio_sim::Policy;
 
 /// The replacement policy: which unpinned resident block makes room.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -76,10 +77,13 @@ impl ReplacementPolicy {
             ReplacementPolicy::Clock => "clock",
         }
     }
+}
 
-    /// Parses a policy name (the inverse of [`ReplacementPolicy::name`]).
-    pub fn parse(s: &str) -> Option<ReplacementPolicy> {
-        ReplacementPolicy::ALL.into_iter().find(|p| p.name() == s)
+impl Policy for ReplacementPolicy {
+    const ALL: &'static [Self] = &ReplacementPolicy::ALL;
+    const NOUN: &'static str = "replacement policy";
+    fn name(self) -> &'static str {
+        ReplacementPolicy::name(self)
     }
 }
 
@@ -120,11 +124,6 @@ impl PrefetchPolicy {
         }
     }
 
-    /// Parses a policy name (the inverse of [`PrefetchPolicy::name`]).
-    pub fn parse(s: &str) -> Option<PrefetchPolicy> {
-        PrefetchPolicy::ALL.into_iter().find(|p| p.name() == s)
-    }
-
     /// Builds the prefetcher implementing this policy.
     pub fn prefetcher(self) -> Box<dyn Prefetcher> {
         match self {
@@ -132,6 +131,14 @@ impl PrefetchPolicy {
             PrefetchPolicy::OneAhead => Box::new(OneAheadPrefetcher),
             PrefetchPolicy::Strided => Box::new(StridedPrefetcher { last: Vec::new() }),
         }
+    }
+}
+
+impl Policy for PrefetchPolicy {
+    const ALL: &'static [Self] = &PrefetchPolicy::ALL;
+    const NOUN: &'static str = "prefetch policy";
+    fn name(self) -> &'static str {
+        PrefetchPolicy::name(self)
     }
 }
 
@@ -187,11 +194,6 @@ impl WritePolicy {
         }
     }
 
-    /// Parses a policy name (the inverse of [`WritePolicy::name`]).
-    pub fn parse(s: &str) -> Option<WritePolicy> {
-        WritePolicy::ALL.into_iter().find(|p| p.name() == s)
-    }
-
     /// Dirty-block count at which [`WritePolicy::Watermark`] starts a flush
     /// sweep: three quarters of the capacity (at least one).
     pub fn high_watermark(capacity: usize) -> usize {
@@ -231,6 +233,14 @@ impl WritePolicy {
                 }
             }
         }
+    }
+}
+
+impl Policy for WritePolicy {
+    const ALL: &'static [Self] = &WritePolicy::ALL;
+    const NOUN: &'static str = "write policy";
+    fn name(self) -> &'static str {
+        WritePolicy::name(self)
     }
 }
 
@@ -345,12 +355,24 @@ impl CacheFilter {
                 pin(&mut f.write, p, "write", part)?;
             } else {
                 return Err(format!(
-                    "unknown cache policy {part:?} (expected lru/mru/clock, \
-                     none/one/strided, through/onfull/watermark, or default)"
+                    "unknown cache policy {part:?} (expected {})",
+                    CacheFilter::expected()
                 ));
             }
         }
         Ok(f)
+    }
+
+    /// The accepted part names, one group per dimension: `"lru, mru, or
+    /// clock; none, one, or strided; through, onfull, or watermark; or
+    /// default"`.
+    pub fn expected() -> String {
+        format!(
+            "{}; {}; {}; or default",
+            ReplacementPolicy::expected(),
+            PrefetchPolicy::expected(),
+            WritePolicy::expected()
+        )
     }
 
     /// True if `config` satisfies every pinned dimension.
@@ -362,7 +384,7 @@ impl CacheFilter {
 }
 
 /// A union of [`CacheFilter`] patterns, parsed from the comma-separated
-/// `--cache` flag (the cache analog of `ddio_disk::SchedSet`).
+/// `--cache` flag (the cache analog of a `PolicySet`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheSet(Vec<CacheFilter>);
 
@@ -1538,7 +1560,11 @@ mod tests {
             }
         );
         assert_eq!(CacheConfig::parse("default").unwrap(), CacheConfig::DEFAULT);
-        assert!(CacheConfig::parse("arc").is_err());
+        assert_eq!(
+            CacheConfig::parse("arc").unwrap_err(),
+            "unknown cache policy \"arc\" (expected lru, mru, or clock; none, one, or \
+             strided; through, onfull, or watermark; or default)"
+        );
         // Doubly-pinned dimensions are conflicts, not silent overwrites.
         assert!(CacheConfig::parse("lru+mru").unwrap_err().contains("twice"));
         assert!(CacheConfig::parse("one+one").is_err());

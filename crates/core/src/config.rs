@@ -12,8 +12,8 @@ use ddio_sim::SimDuration;
 pub use crate::cache::CacheConfig;
 pub use crate::fault::{FaultPolicy, RedundancyPolicy};
 pub use crate::serve::ServeParams;
-pub use ddio_disk::{SchedPolicy, SchedSet};
-pub use ddio_net::{ContentionModel, ContentionSet, NetConfig, TopologyKind, TopologySet};
+pub use ddio_disk::SchedPolicy;
+pub use ddio_net::{ContentionModel, NetConfig, TopologyKind};
 
 /// Physical placement of the file's blocks on each disk (§5 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -323,6 +323,12 @@ impl MachineConfig {
         self.n_disks / self.n_iops
     }
 
+    /// Sectors spanned by `bytes` of data on the configured drive (a partial
+    /// sector rounds up).
+    pub fn sectors_for(&self, bytes: u64) -> u32 {
+        bytes.div_ceil(self.disk.geometry.bytes_per_sector as u64) as u32
+    }
+
     /// Sectors per file-system block on the configured drive.
     pub fn sectors_per_block(&self) -> u32 {
         (self.block_bytes / self.disk.geometry.bytes_per_sector as u64) as u32
@@ -455,6 +461,8 @@ mod tests {
         assert_eq!(c.n_blocks(), 1280);
         assert_eq!(c.disks_per_iop(), 1);
         assert_eq!(c.sectors_per_block(), 16);
+        assert_eq!(c.sectors_for(c.block_bytes), 16);
+        assert_eq!(c.sectors_for(513), 2, "a partial sector rounds up");
         // Aggregate peak disk bandwidth ~ 37.5 MiB/s (16 x 2.34).
         let mibs = c.peak_disk_bandwidth() / (1024.0 * 1024.0);
         assert!((37.0..38.0).contains(&mibs), "peak {mibs}");

@@ -18,7 +18,7 @@
 
 use ddio_disk::{DiskParams, DriveFaultPlan};
 use ddio_net::NiOutage;
-use ddio_sim::{SimDuration, SimRng, SimTime};
+use ddio_sim::{Policy, SimDuration, SimRng, SimTime};
 
 use crate::config::MachineConfig;
 
@@ -70,11 +70,6 @@ impl FaultPolicy {
         }
     }
 
-    /// Parses a policy name (the inverse of [`FaultPolicy::name`]).
-    pub fn parse(s: &str) -> Option<FaultPolicy> {
-        FaultPolicy::ALL.into_iter().find(|p| p.name() == s)
-    }
-
     /// True if the policy carries a timed schedule (events that fire
     /// mid-transfer rather than static degradation from time zero).
     pub fn has_timed_events(self) -> bool {
@@ -95,6 +90,14 @@ impl FaultPolicy {
                 params.head_switch = params.head_switch.times(4);
             }
         }
+    }
+}
+
+impl Policy for FaultPolicy {
+    const ALL: &'static [Self] = &FaultPolicy::ALL;
+    const NOUN: &'static str = "fault policy";
+    fn name(self) -> &'static str {
+        FaultPolicy::name(self)
     }
 }
 
@@ -139,10 +142,13 @@ impl RedundancyPolicy {
             RedundancyPolicy::Parity => "parity",
         }
     }
+}
 
-    /// Parses a policy name (the inverse of [`RedundancyPolicy::name`]).
-    pub fn parse(s: &str) -> Option<RedundancyPolicy> {
-        RedundancyPolicy::ALL.into_iter().find(|p| p.name() == s)
+impl Policy for RedundancyPolicy {
+    const ALL: &'static [Self] = &RedundancyPolicy::ALL;
+    const NOUN: &'static str = "redundancy policy";
+    fn name(self) -> &'static str {
+        RedundancyPolicy::name(self)
     }
 }
 
@@ -151,99 +157,6 @@ impl std::fmt::Display for RedundancyPolicy {
         f.write_str(self.name())
     }
 }
-
-/// Defines a small, copyable bitset over one of the fault subsystem's policy
-/// enums (one bit per variant), with the same surface as
-/// `ddio_disk::SchedSet` and `ddio_net::TopologySet`:
-/// `empty`/`all`/`insert`/`contains`/`is_empty`/`iter`/`parse_list`/`names`.
-macro_rules! policy_set {
-    (
-        $(#[$doc:meta])*
-        $set:ident of $kind:ident, $what:literal, $expected:literal
-    ) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-        pub struct $set(u8);
-
-        impl $set {
-            /// The empty set.
-            pub const fn empty() -> $set {
-                $set(0)
-            }
-
-            #[doc = concat!("The set of every ", $what, ".")]
-            pub fn all() -> $set {
-                let mut s = $set::empty();
-                for k in $kind::ALL {
-                    s.insert(k);
-                }
-                s
-            }
-
-            #[doc = concat!("Adds a ", $what, " to the set.")]
-            pub fn insert(&mut self, k: $kind) {
-                self.0 |= 1 << (k as u8);
-            }
-
-            /// True if the set contains `k`.
-            pub fn contains(self, k: $kind) -> bool {
-                self.0 & (1 << (k as u8)) != 0
-            }
-
-            /// True if the set is empty.
-            pub fn is_empty(self) -> bool {
-                self.0 == 0
-            }
-
-            #[doc = concat!("The contained values, in [`", stringify!($kind), "::ALL`] order.")]
-            pub fn iter(self) -> impl Iterator<Item = $kind> {
-                $kind::ALL.into_iter().filter(move |&k| self.contains(k))
-            }
-
-            #[doc = concat!("Parses a comma-separated list of ", $what, " names.")]
-            pub fn parse_list(s: &str) -> Result<$set, String> {
-                let mut set = $set::empty();
-                for part in s.split(',') {
-                    let part = part.trim();
-                    if part.is_empty() {
-                        continue;
-                    }
-                    let k = $kind::parse(part).ok_or_else(|| {
-                        format!("unknown {} {part:?} (expected {})", $what, $expected)
-                    })?;
-                    set.insert(k);
-                }
-                if set.is_empty() {
-                    return Err(format!(
-                        "expected a comma-separated list of {} names: {}",
-                        $what, $expected
-                    ));
-                }
-                Ok(set)
-            }
-
-            /// The contained names, comma-separated.
-            pub fn names(self) -> String {
-                self.iter().map($kind::name).collect::<Vec<_>>().join(",")
-            }
-        }
-    };
-}
-
-policy_set! {
-    /// A small, copyable set of [`FaultPolicy`] values (one bit per policy),
-    /// used by the `ddio-bench --faults` filter.
-    FaultSet of FaultPolicy, "fault policy", "none, cacheless, worn, transient, or failure"
-}
-
-policy_set! {
-    /// A small, copyable set of [`RedundancyPolicy`] values, used by the
-    /// `ddio-bench --redundancy` filter.
-    RedundancySet of RedundancyPolicy, "redundancy policy", "none, mirror, or parity"
-}
-
-// The serving subsystem's policy enums build their sets with the same macro.
-pub(crate) use policy_set;
 
 /// What kind of fault an event injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -439,19 +352,20 @@ mod tests {
 
     #[test]
     fn sets_parse_and_filter() {
-        let set = FaultSet::parse_list("none, failure").unwrap();
+        use ddio_sim::PolicySet;
+        let set = PolicySet::<FaultPolicy>::parse_list("none, failure").unwrap();
         assert!(set.contains(FaultPolicy::None));
         assert!(set.contains(FaultPolicy::Failure));
         assert!(!set.contains(FaultPolicy::Transient));
         assert_eq!(set.names(), "none,failure");
-        assert!(FaultSet::parse_list("meteor").is_err());
-        assert_eq!(FaultSet::all().iter().count(), 5);
+        assert!(PolicySet::<FaultPolicy>::parse_list("meteor").is_err());
+        assert_eq!(PolicySet::<FaultPolicy>::all().iter().count(), 5);
 
-        let set = RedundancySet::parse_list("mirror,parity").unwrap();
+        let set = PolicySet::<RedundancyPolicy>::parse_list("mirror,parity").unwrap();
         assert!(!set.contains(RedundancyPolicy::None));
         assert_eq!(set.names(), "mirror,parity");
-        assert!(RedundancySet::parse_list(" , ").is_err());
-        assert_eq!(RedundancySet::all().iter().count(), 3);
+        assert!(PolicySet::<RedundancyPolicy>::parse_list(" , ").is_err());
+        assert_eq!(PolicySet::<RedundancyPolicy>::all().iter().count(), 3);
     }
 
     #[test]

@@ -88,22 +88,22 @@ pub use cache::{
 };
 pub use collective::{CollectiveError, CollectiveFile};
 pub use config::{
-    CacheParams, ContentionModel, ContentionSet, CostModel, LayoutPolicy, MachineConfig, Method,
-    NetConfig, SchedPolicy, SchedSet, TopologyKind, TopologySet,
+    CacheParams, ContentionModel, CostModel, LayoutPolicy, MachineConfig, Method, NetConfig,
+    SchedPolicy, TopologyKind,
 };
 pub use ddio_net::LinkStat;
-pub use fault::{
-    FaultConfig, FaultEvent, FaultKind, FaultPolicy, FaultSet, FaultStats, RedundancyPolicy,
-    RedundancySet,
-};
+pub use fault::{FaultConfig, FaultEvent, FaultKind, FaultPolicy, FaultStats, RedundancyPolicy};
 pub use layout::{BlockLocation, FileLayout, LayoutStorage};
 pub use machine::{run_transfer, MachineArena, TransferOutcome, VerifyReport};
 pub use msg::FsMessage;
 pub use serve::{
-    AdmissionQueue, ArrivalProcess, ArrivalSet, LatencyHistogram, QosPolicy, QosSet, ServeConfig,
-    ServeParams, ServeRequestSpec, ServeStats, TenantStats,
+    AdmissionQueue, ArrivalProcess, LatencyHistogram, QosPolicy, ServeConfig, ServeParams,
+    ServeRequestSpec, ServeStats, TenantStats,
 };
 pub use util::{IntervalSet, PendingCounter};
+
+// Every subsystem's policy enums implement the shared `Policy` vocabulary.
+pub use ddio_sim::{Policy, PolicySet};
 
 // Re-export the pattern vocabulary so downstream users need only one import.
 pub use ddio_patterns::{AccessKind, AccessPattern, ArrayShape, Chunk, Dist, PatternInstance};

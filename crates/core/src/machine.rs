@@ -55,8 +55,6 @@ pub(crate) struct IopParts {
     pub cpu: Resource,
     /// The IOP's SCSI bus (shared by all of its disks).
     pub bus: ScsiBus,
-    /// The IOP's disks as (global disk index, handle).
-    pub disks: Vec<(usize, DiskHandle)>,
 }
 
 /// Data-placement tracking used by the `verify` mode.
@@ -67,9 +65,9 @@ pub(crate) struct VerifyState {
     pub file_written: IntervalSet,
 }
 
-/// Cross-IOP access to one drive, used by fault recovery: reconstruction
-/// reads and redirected writes must charge the *source* disk's drive and
-/// SCSI bus even when they belong to another IOP.
+/// Access to one drive and the IOP owning it. Block I/O goes through the
+/// owning IOP; fault recovery reads and writes copies on any IOP's drive,
+/// charging *that* drive and SCSI bus.
 pub(crate) struct RecoveryDisk {
     /// The drive (all handles feed the same queue).
     pub handle: DiskHandle,
@@ -87,7 +85,7 @@ pub(crate) struct FaultSession {
     /// The compiled schedule (empty under `FaultPolicy::None` and the
     /// static policies).
     pub schedule: FaultConfig,
-    /// Per-global-disk access, indexed by disk id.
+    /// Every drive, indexed by global disk id.
     pub disks: Vec<RecoveryDisk>,
     /// Reads issued against redundant copies.
     pub reconstruction_reads: Cell<u64>,
@@ -137,6 +135,56 @@ impl RunContext {
         }
     }
 
+    /// Reads `block` from its drive into a buffer of `iop`, the IOP owning
+    /// the drive: the disk read, reconstruction if the read failed, then the
+    /// IOP's SCSI bus. Returns the block's valid bytes.
+    pub async fn read_block(&self, iop: &IopParts, block: u64) -> u64 {
+        let loc = self.layout.location(block);
+        let (start, end) = self.layout.block_byte_range(block);
+        let bytes = end - start;
+        let request = DiskRequest::read(loc.start_sector, self.config.sectors_for(bytes));
+        if self.local_disk(iop, loc.disk).io(request).await.failed {
+            self.recover_block_read(block, iop.node).await;
+        }
+        iop.bus.transfer(bytes).await;
+        bytes
+    }
+
+    /// Writes `bytes` of `block` from a buffer of `iop`, the IOP owning its
+    /// drive: the IOP's SCSI bus, then the disk write. The block's live
+    /// redundant location (mirror or parity), if any, then gets a copy: the
+    /// steady-state cost of redundancy, or the redirect of a write whose
+    /// primary disk is dead. A failed write with no copy loses the block.
+    pub async fn write_block(&self, iop: &IopParts, block: u64, bytes: u64) {
+        let loc = self.layout.location(block);
+        iop.bus.transfer(bytes).await;
+        let request = DiskRequest::write(loc.start_sector, self.config.sectors_for(bytes));
+        let failed = self.local_disk(iop, loc.disk).io(request).await.failed;
+        let f = &self.fault;
+        let copy = self
+            .layout
+            .redundant_location(block)
+            .filter(|copy| !f.schedule.is_dead(copy.disk, f.ctx.now()));
+        let copied = match copy {
+            Some(copy) => self.write_copy(block, copy, iop.node, bytes).await,
+            None => false,
+        };
+        if failed && !copied {
+            f.count_lost();
+        }
+    }
+
+    /// The drive of global disk `disk`, which must hang off `iop`.
+    fn local_disk(&self, iop: &IopParts, disk: usize) -> &DiskHandle {
+        let d = &self.fault.disks[disk];
+        assert!(
+            d.node == iop.node,
+            "IOP {} asked for foreign disk {disk}",
+            iop.iop
+        );
+        &d.handle
+    }
+
     /// Publishes IOP `iop`'s final cache statistics.
     pub fn publish_cache_stats(&self, iop: usize, stats: CacheStats) {
         self.cache_stats.borrow_mut()[iop] = Some(stats);
@@ -148,12 +196,12 @@ impl RunContext {
     /// fabric hop when the source lives on another IOP. A block whose full
     /// source set cannot be read is counted lost — but the caller proceeds
     /// regardless, so the transfer protocol always terminates.
-    pub async fn recover_block_read(&self, block: u64, requester_node: usize) {
+    async fn recover_block_read(&self, block: u64, requester_node: usize) {
         let f = &self.fault;
         let sources = self.layout.reconstruction_sources(block);
         let (bstart, bend) = self.layout.block_byte_range(block);
         let bytes = bend - bstart;
-        let sectors = self.sectors_for(bytes);
+        let sectors = self.config.sectors_for(bytes);
         let mut complete = !sources.is_empty();
         for loc in sources {
             if f.schedule.is_dead(loc.disk, f.ctx.now()) {
@@ -181,42 +229,6 @@ impl RunContext {
         }
     }
 
-    /// Updates `block`'s redundant copy (mirror or parity) after a
-    /// successful primary write — the steady-state cost of running
-    /// redundancy. A no-op under `RedundancyPolicy::None`; a copy whose
-    /// disk has died is skipped (the primary survives).
-    pub async fn redundant_write(&self, block: u64, requester_node: usize, bytes: u64) {
-        if self.layout.redundancy() == RedundancyPolicy::None {
-            return;
-        }
-        let f = &self.fault;
-        let Some(loc) = self.layout.redundant_location(block) else {
-            return;
-        };
-        if f.schedule.is_dead(loc.disk, f.ctx.now()) {
-            return;
-        }
-        self.write_copy(block, loc, requester_node, bytes).await;
-    }
-
-    /// Redirects a write whose primary disk is dead to the block's redundant
-    /// location. With no live redundant location the block is lost.
-    pub async fn redirect_failed_write(&self, block: u64, requester_node: usize, bytes: u64) {
-        let f = &self.fault;
-        let live = self
-            .layout
-            .redundant_location(block)
-            .filter(|loc| !f.schedule.is_dead(loc.disk, f.ctx.now()));
-        match live {
-            Some(loc) => {
-                if !self.write_copy(block, loc, requester_node, bytes).await {
-                    f.count_lost();
-                }
-            }
-            None => f.count_lost(),
-        }
-    }
-
     /// Ships `bytes` to the IOP owning `loc` (if remote), charges its bus,
     /// and writes the copy. True on success.
     async fn write_copy(
@@ -232,14 +244,8 @@ impl RunContext {
                 .await;
         }
         target.bus.transfer(bytes).await;
-        let breakdown = target
-            .handle
-            .io(DiskRequest::write(
-                loc.start_sector,
-                self.sectors_for(bytes),
-            ))
-            .await;
-        !breakdown.failed
+        let request = DiskRequest::write(loc.start_sector, self.config.sectors_for(bytes));
+        !target.handle.io(request).await.failed
     }
 
     /// One cross-IOP hop of reconstruction data over the fabric.
@@ -247,10 +253,6 @@ impl RunContext {
         let msg = FsMessage::Reconstructed { block, bytes };
         let wire = self.config.costs.message_header_bytes + msg.payload_bytes();
         self.net.send(from, to, wire, msg).await;
-    }
-
-    fn sectors_for(&self, bytes: u64) -> u32 {
-        bytes.div_ceil(self.config.disk.geometry.bytes_per_sector as u64) as u32
     }
 }
 
@@ -572,6 +574,9 @@ pub fn run_transfer_in(
     config.faults.degrade(&mut drive_params);
     let iop_inboxes: Vec<Inbox> = inboxes.take(config.n_iops).collect();
     let mut iops = Vec::with_capacity(config.n_iops);
+    // Every drive, indexed globally: a reconstruction source may live on
+    // any IOP.
+    let mut recovery_disks = Vec::with_capacity(config.n_disks);
     for iop in 0..config.n_iops {
         let bus = ScsiBus::with_bandwidth(
             ctx.clone(),
@@ -583,13 +588,13 @@ pub fn run_transfer_in(
             config.bus_bytes_per_sec,
             config.bus_arbitration,
         );
-        let disks = config
-            .disks_of_iop(iop)
-            .map(|disk| {
-                let plan = fault_schedule.plan(disk);
-                (disk, spawn_disk_faulty(&ctx, disk, drive_params, plan))
-            })
-            .collect();
+        for disk in config.disks_of_iop(iop) {
+            recovery_disks.push(RecoveryDisk {
+                handle: spawn_disk_faulty(&ctx, disk, drive_params, fault_schedule.plan(disk)),
+                bus: bus.clone(),
+                node: config.iop_node(iop),
+            });
+        }
         iops.push(Rc::new(IopParts {
             iop,
             node: config.iop_node(iop),
@@ -603,22 +608,8 @@ pub fn run_transfer_in(
                 1,
             ),
             bus,
-            disks,
         }));
     }
-
-    // Recovery needs cross-IOP drive access (a reconstruction source may
-    // live on any IOP), so the fault session indexes every drive globally.
-    let recovery_disks: Vec<RecoveryDisk> = iops
-        .iter()
-        .flat_map(|iop| {
-            iop.disks.iter().map(|(_, handle)| RecoveryDisk {
-                handle: handle.clone(),
-                bus: iop.bus.clone(),
-                node: iop.node,
-            })
-        })
-        .collect();
     let run = Rc::new(RunContext {
         config: Rc::new(config.clone()),
         pattern: pattern_instance,
@@ -678,10 +669,7 @@ pub fn run_transfer_in(
     let run_wall_secs = run_wall_start.elapsed().as_secs_f64();
     let elapsed = end.duration_since(ddio_sim::SimTime::ZERO);
 
-    let disk_stats: Vec<DiskStats> = iops
-        .iter()
-        .flat_map(|iop| iop.disks.iter().map(|(_, d)| d.stats()))
-        .collect();
+    let disk_stats: Vec<DiskStats> = run.fault.disks.iter().map(|d| d.handle.stats()).collect();
     let disk_utilization = disk_stats
         .iter()
         .map(|s| {

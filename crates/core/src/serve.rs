@@ -26,12 +26,11 @@ use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 use std::task::Poll;
 
-use ddio_disk::{DiskRequest, SchedPolicy};
+use ddio_disk::SchedPolicy;
 use ddio_sim::sync::oneshot;
-use ddio_sim::{Sim, SimContext, SimDuration, SimRng, SimTime, TaskRef};
+use ddio_sim::{Policy, Sim, SimContext, SimDuration, SimRng, SimTime, TaskRef};
 
 use crate::config::{MachineConfig, Method};
-use crate::fault::policy_set;
 use crate::machine::{CpParts, Inbox, IopParts, RunContext};
 use crate::msg::FsMessage;
 use crate::util::PendingCounter;
@@ -71,15 +70,18 @@ impl ArrivalProcess {
         }
     }
 
-    /// Parses a process name (the inverse of [`ArrivalProcess::name`]).
-    pub fn parse(s: &str) -> Option<ArrivalProcess> {
-        ArrivalProcess::ALL.into_iter().find(|p| p.name() == s)
-    }
-
     /// True if the process generates an open-loop request stream (anything
     /// but the closed-loop baseline).
     pub fn is_open_loop(self) -> bool {
         self != ArrivalProcess::ClosedLoop
+    }
+}
+
+impl Policy for ArrivalProcess {
+    const ALL: &'static [Self] = &ArrivalProcess::ALL;
+    const NOUN: &'static str = "arrival process";
+    fn name(self) -> &'static str {
+        ArrivalProcess::name(self)
     }
 }
 
@@ -125,10 +127,13 @@ impl QosPolicy {
             QosPolicy::TenantPriority => "tenant-priority",
         }
     }
+}
 
-    /// Parses a policy name (the inverse of [`QosPolicy::name`]).
-    pub fn parse(s: &str) -> Option<QosPolicy> {
-        QosPolicy::ALL.into_iter().find(|p| p.name() == s)
+impl Policy for QosPolicy {
+    const ALL: &'static [Self] = &QosPolicy::ALL;
+    const NOUN: &'static str = "QoS policy";
+    fn name(self) -> &'static str {
+        QosPolicy::name(self)
     }
 }
 
@@ -136,18 +141,6 @@ impl std::fmt::Display for QosPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
-}
-
-policy_set! {
-    /// A small, copyable set of [`ArrivalProcess`] values (one bit per
-    /// process), used by the `ddio-bench --arrival` filter.
-    ArrivalSet of ArrivalProcess, "arrival process", "closed-loop, poisson, or bursty"
-}
-
-policy_set! {
-    /// A small, copyable set of [`QosPolicy`] values, used by the
-    /// `ddio-bench --qos` filter.
-    QosSet of QosPolicy, "QoS policy", "fifo, fair-share, weighted, or tenant-priority"
 }
 
 /// The serving knobs carried by [`MachineConfig`].
@@ -860,15 +853,6 @@ struct ServeServer {
 }
 
 impl ServeServer {
-    fn disk_handle(&self, disk: usize) -> &ddio_disk::DiskHandle {
-        self.parts
-            .disks
-            .iter()
-            .find(|(d, _)| *d == disk)
-            .map(|(_, h)| h)
-            .unwrap_or_else(|| panic!("IOP {} asked for foreign disk {disk}", self.parts.iop))
-    }
-
     /// Serves one request: CPU costs per the method, the disk read, the SCSI
     /// bus, and the data-carrying reply.
     async fn handle(self: Rc<Self>, id: u64, cp: usize, block: u64, setup: bool) {
@@ -886,16 +870,7 @@ impl ServeServer {
             self.parts.cpu.use_for(costs.iop_dispatch_cpu).await;
             self.parts.cpu.use_for(costs.iop_cache_cpu).await;
         }
-        let loc = self.run.layout.location(block);
-        let (bstart, bend) = self.run.layout.block_byte_range(block);
-        let bytes = bend - bstart;
-        let sectors = bytes.div_ceil(self.run.config.disk.geometry.bytes_per_sector as u64) as u32;
-        let disk = self.disk_handle(loc.disk);
-        let breakdown = disk.io(DiskRequest::read(loc.start_sector, sectors)).await;
-        if breakdown.failed {
-            self.run.recover_block_read(block, self.parts.node).await;
-        }
-        self.parts.bus.transfer(bytes).await;
+        let bytes = self.run.read_block(&self.parts, block).await;
         if self.ddio {
             self.parts.cpu.use_for(costs.memput_cpu).await;
         } else {
@@ -1109,20 +1084,21 @@ mod tests {
 
     #[test]
     fn sets_parse_and_filter() {
-        let set = ArrivalSet::parse_list("poisson, bursty").unwrap();
+        use ddio_sim::PolicySet;
+        let set = PolicySet::<ArrivalProcess>::parse_list("poisson, bursty").unwrap();
         assert!(set.contains(ArrivalProcess::Poisson));
         assert!(set.contains(ArrivalProcess::Bursty));
         assert!(!set.contains(ArrivalProcess::ClosedLoop));
         assert_eq!(set.names(), "poisson,bursty");
-        assert!(ArrivalSet::parse_list("meteor").is_err());
-        assert_eq!(ArrivalSet::all().iter().count(), 3);
+        assert!(PolicySet::<ArrivalProcess>::parse_list("meteor").is_err());
+        assert_eq!(PolicySet::<ArrivalProcess>::all().iter().count(), 3);
 
-        let set = QosSet::parse_list("fifo,tenant-priority").unwrap();
+        let set = PolicySet::<QosPolicy>::parse_list("fifo,tenant-priority").unwrap();
         assert!(set.contains(QosPolicy::Fifo));
         assert!(!set.contains(QosPolicy::FairShare));
         assert_eq!(set.names(), "fifo,tenant-priority");
-        assert!(QosSet::parse_list(" , ").is_err());
-        assert_eq!(QosSet::all().iter().count(), 4);
+        assert!(PolicySet::<QosPolicy>::parse_list(" , ").is_err());
+        assert_eq!(PolicySet::<QosPolicy>::all().iter().count(), 4);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use ddio_disk::{DiskRequest, SchedPolicy};
+use ddio_disk::SchedPolicy;
 use ddio_patterns::AccessKind;
 use ddio_sim::sync::{oneshot, Barrier, CountdownEvent};
 use ddio_sim::{Sim, SimContext};
@@ -89,52 +89,17 @@ impl IopServer {
         e - s
     }
 
-    fn disk_handle(&self, disk: usize) -> &ddio_disk::DiskHandle {
-        self.parts
-            .disks
-            .iter()
-            .find(|(d, _)| *d == disk)
-            .map(|(_, h)| h)
-            .unwrap_or_else(|| panic!("IOP {} asked for foreign disk {disk}", self.parts.iop))
-    }
-
-    /// Reads `block` from its disk into an IOP cache buffer (drive + bus).
-    async fn fetch_block(&self, block: u64) {
-        let loc = self.run.layout.location(block);
-        let bytes = self.block_bytes(block);
-        let sectors = bytes.div_ceil(self.run.config.disk.geometry.bytes_per_sector as u64) as u32;
-        let disk = self.disk_handle(loc.disk);
-        let breakdown = disk.io(DiskRequest::read(loc.start_sector, sectors)).await;
-        if breakdown.failed {
-            self.run.recover_block_read(block, self.parts.node).await;
-        }
-        self.parts.bus.transfer(bytes).await;
-    }
-
     /// Writes `bytes` of `block` from the cache buffer back to its disk.
     async fn flush_block(&self, block: u64, bytes: u64) {
         self.cache.borrow_mut().note_flush();
-        let loc = self.run.layout.location(block);
-        let sectors = bytes.div_ceil(self.run.config.disk.geometry.bytes_per_sector as u64) as u32;
-        self.parts.bus.transfer(bytes).await;
-        let disk = self.disk_handle(loc.disk);
-        let breakdown = disk.io(DiskRequest::write(loc.start_sector, sectors)).await;
-        if breakdown.failed {
-            self.run
-                .redirect_failed_write(block, self.parts.node, bytes)
-                .await;
-        } else {
-            self.run
-                .redundant_write(block, self.parts.node, bytes)
-                .await;
-        }
+        self.run.write_block(&self.parts, block, bytes).await;
     }
 
     /// Ensures `block` is resident (waiting on a fill in progress, or reading
     /// it from disk), leaving it pinned. `allocate_only` is used for writes,
     /// which need a buffer but not the old contents (the collective patterns
     /// always overwrite whole blocks by the end of the transfer).
-    async fn ensure_block(self: &Rc<Self>, ctx: &SimContext, block: u64, allocate_only: bool) {
+    async fn ensure_block(&self, block: u64, allocate_only: bool) {
         let costs = self.run.config.costs;
         self.parts.cpu.use_for(costs.iop_cache_cpu).await;
         let lookup = self.cache.borrow_mut().lookup(block);
@@ -159,10 +124,9 @@ impl IopServer {
                     }
                 }
                 if !allocate_only {
-                    self.fetch_block(block).await;
+                    self.run.read_block(&self.parts, block).await;
                 }
                 self.cache.borrow_mut().mark_present(block);
-                let _ = ctx;
             }
         }
     }
@@ -183,7 +147,6 @@ impl IopServer {
                 continue;
             }
             let server = Rc::clone(self);
-            let ctx2 = ctx.clone();
             self.background.begin();
             ctx.spawn_detached(async move {
                 let costs = server.run.config.costs;
@@ -202,11 +165,10 @@ impl IopServer {
                                 .await;
                         }
                     }
-                    server.fetch_block(next).await;
+                    server.run.read_block(&server.parts, next).await;
                     server.cache.borrow_mut().mark_present(next);
                     server.cache.borrow_mut().unpin(next);
                 }
-                let _ = ctx2;
                 server.background.end();
             });
         }
@@ -258,11 +220,11 @@ impl IopServer {
         self.parts.cpu.use_for(costs.iop_dispatch_cpu).await;
         match op {
             AccessKind::Read => {
-                self.ensure_block(&ctx, block, false).await;
+                self.ensure_block(block, false).await;
                 self.maybe_prefetch(&ctx, block);
             }
             AccessKind::Write => {
-                self.ensure_block(&ctx, block, true).await;
+                self.ensure_block(block, true).await;
                 // Copy the arriving data into the cache buffer (the one
                 // memory-memory copy of the traditional path).
                 self.parts.cpu.use_for(costs.memcpy_time(len as u64)).await;
@@ -453,7 +415,7 @@ pub(crate) fn spawn_transfer(
 
     // IOP servers.
     for (iop_parts, inbox) in iops.iter().zip(iop_inboxes) {
-        let cache_capacity = config.cache.capacity(config.n_cps, iop_parts.disks.len());
+        let cache_capacity = config.cache.capacity(config.n_cps, config.disks_per_iop());
         let server = Rc::new(IopServer {
             parts: Rc::clone(iop_parts),
             run: Rc::clone(run),

@@ -14,6 +14,8 @@
 
 use std::collections::VecDeque;
 
+use ddio_sim::Policy;
+
 use crate::geometry::Geometry;
 use crate::request::DiskRequest;
 
@@ -60,11 +62,6 @@ impl SchedPolicy {
         }
     }
 
-    /// Parses a policy name (the inverse of [`SchedPolicy::name`]).
-    pub fn parse(s: &str) -> Option<SchedPolicy> {
-        SchedPolicy::ALL.into_iter().find(|p| p.name() == s)
-    }
-
     /// Builds the scheduler implementing this policy for a drive with the
     /// given geometry. `T` is the per-request payload the drive threads
     /// through the queue (its completion channel).
@@ -89,84 +86,17 @@ impl SchedPolicy {
     }
 }
 
-impl std::fmt::Display for SchedPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+impl Policy for SchedPolicy {
+    const ALL: &'static [Self] = &SchedPolicy::ALL;
+    const NOUN: &'static str = "scheduling policy";
+    fn name(self) -> &'static str {
+        SchedPolicy::name(self)
     }
 }
 
-/// A small, copyable set of [`SchedPolicy`] values (one bit per policy),
-/// used by the `ddio-bench --sched` filter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedSet(u8);
-
-impl SchedSet {
-    /// The empty set.
-    pub const fn empty() -> SchedSet {
-        SchedSet(0)
-    }
-
-    /// The set of every policy.
-    pub fn all() -> SchedSet {
-        let mut s = SchedSet::empty();
-        for p in SchedPolicy::ALL {
-            s.insert(p);
-        }
-        s
-    }
-
-    /// Adds a policy to the set.
-    pub fn insert(&mut self, p: SchedPolicy) {
-        self.0 |= 1 << (p as u8);
-    }
-
-    /// True if the set contains `p`.
-    pub fn contains(self, p: SchedPolicy) -> bool {
-        self.0 & (1 << (p as u8)) != 0
-    }
-
-    /// True if the set contains no policy.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// The contained policies, in [`SchedPolicy::ALL`] order.
-    pub fn iter(self) -> impl Iterator<Item = SchedPolicy> {
-        SchedPolicy::ALL
-            .into_iter()
-            .filter(move |&p| self.contains(p))
-    }
-
-    /// Parses a comma-separated list of policy names (`"fcfs,cscan"`).
-    pub fn parse_list(s: &str) -> Result<SchedSet, String> {
-        let mut set = SchedSet::empty();
-        for part in s.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let p = SchedPolicy::parse(part).ok_or_else(|| {
-                format!(
-                    "unknown scheduling policy {part:?} (expected fcfs, sstf, cscan, or presort)"
-                )
-            })?;
-            set.insert(p);
-        }
-        if set.is_empty() {
-            return Err(
-                "expected a comma-separated list of policies: fcfs, sstf, cscan, presort"
-                    .to_owned(),
-            );
-        }
-        Ok(set)
-    }
-
-    /// The contained policy names, comma-separated.
-    pub fn names(self) -> String {
-        self.iter()
-            .map(SchedPolicy::name)
-            .collect::<Vec<_>>()
-            .join(",")
+impl std::fmt::Display for SchedPolicy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -363,14 +293,18 @@ mod tests {
 
     #[test]
     fn sched_set_parses_lists() {
-        let s = SchedSet::parse_list("fcfs, cscan").unwrap();
+        use ddio_sim::PolicySet;
+        let s = PolicySet::<SchedPolicy>::parse_list("fcfs, cscan").unwrap();
         assert!(s.contains(SchedPolicy::Fcfs));
         assert!(s.contains(SchedPolicy::Cscan));
         assert!(!s.contains(SchedPolicy::Sstf));
         assert_eq!(s.names(), "fcfs,cscan");
-        assert_eq!(SchedSet::all().names(), "fcfs,sstf,cscan,presort");
-        assert!(SchedSet::parse_list("bogus").is_err());
-        assert!(SchedSet::parse_list("").is_err());
+        assert_eq!(
+            PolicySet::<SchedPolicy>::all().names(),
+            "fcfs,sstf,cscan,presort"
+        );
+        assert!(PolicySet::<SchedPolicy>::parse_list("bogus").is_err());
+        assert!(PolicySet::<SchedPolicy>::parse_list("").is_err());
     }
 
     #[test]

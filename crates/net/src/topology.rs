@@ -27,6 +27,8 @@
 //! assert_eq!(TopologyKind::Crossbar.build(32).hops(0, 31), 1);
 //! ```
 
+use ddio_sim::Policy;
+
 /// Identifier of a node (router position) in the interconnect.
 pub type NodeId = usize;
 
@@ -109,11 +111,6 @@ impl TopologyKind {
         }
     }
 
-    /// Parses a kind name (the inverse of [`TopologyKind::name`]).
-    pub fn parse(s: &str) -> Option<TopologyKind> {
-        TopologyKind::ALL.into_iter().find(|k| k.name() == s)
-    }
-
     /// Builds the smallest instance of this topology with at least `nodes`
     /// positions, mirroring how the paper sizes a 6x6 torus for 32
     /// processors.
@@ -135,6 +132,14 @@ impl TopologyKind {
             TopologyKind::Hypercube => Box::new(Hypercube::fitting(nodes)),
             TopologyKind::Crossbar => Box::new(Crossbar::new(nodes)),
         }
+    }
+}
+
+impl Policy for TopologyKind {
+    const ALL: &'static [Self] = &TopologyKind::ALL;
+    const NOUN: &'static str = "topology";
+    fn name(self) -> &'static str {
+        TopologyKind::name(self)
     }
 }
 

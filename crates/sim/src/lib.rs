@@ -14,6 +14,8 @@
 //! * [`sync`] — FIFO-fair primitives: channels, semaphores, barriers, events,
 //!   mutexes, and served [`sync::Resource`]s (buses, DMA engines, CPUs).
 //! * [`SimRng`] — seeded randomness, one stream per trial.
+//! * [`Policy`] / [`PolicySet`] — the naming, parsing, and set vocabulary
+//!   every subsystem's policy enums share.
 //! * [`stats`] — counters, time-weighted averages, trial summaries.
 //!
 //! # Example: two communicating processes
@@ -49,11 +51,13 @@
 #![deny(missing_docs)]
 
 mod executor;
+pub mod policy;
 mod rng;
 pub mod stats;
 pub mod sync;
 mod time;
 
 pub use executor::{join_all, JoinHandle, Sim, SimContext, Sleep, TaskId, TaskRef, YieldNow};
+pub use policy::{Policy, PolicySet};
 pub use rng::{mix64, SimRng};
 pub use time::{SimDuration, SimTime};

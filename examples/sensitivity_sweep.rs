@@ -4,11 +4,11 @@
 //!
 //! Run with: `cargo run --release --example sensitivity_sweep`
 
-use disk_directed_io::core::experiment::{run_sensitivity_sweep, Vary};
-use disk_directed_io::{LayoutPolicy, MachineConfig, Method};
+use disk_directed_io::core::experiment::{apply_variation, run_data_point, Vary};
+use disk_directed_io::{AccessPattern, LayoutPolicy, MachineConfig, Method};
 
 fn main() {
-    let disks = [1usize, 2, 4, 8];
+    let rb = AccessPattern::parse("rb").expect("a paper pattern");
     for layout in [LayoutPolicy::Contiguous, LayoutPolicy::RandomBlocks] {
         let base = MachineConfig {
             n_iops: 1,
@@ -20,16 +20,15 @@ fn main() {
             "Layout: {} (single IOP, single 10 MB/s bus), DDIO with presort, pattern rb",
             layout.short_name()
         );
-        let points =
-            run_sensitivity_sweep(&base, Vary::Disks, &disks, &[Method::DDIO_SORTED], 2, 7);
         println!("{:<8}{:>14}{:>14}", "disks", "rb MiB/s", "hw limit");
-        for &d in &disks {
-            if let Some(p) = points.iter().find(|p| p.value == d && p.pattern == "rb") {
-                println!(
-                    "{d:<8}{:>14.2}{:>14.1}",
-                    p.summary.mean, p.hardware_limit_mibs
-                );
-            }
+        for disks in [1usize, 2, 4, 8] {
+            let config = apply_variation(&base, Vary::Disks, disks);
+            let point = run_data_point(&config, Method::DDIO_SORTED, rb, 8192, 2, 7);
+            println!(
+                "{disks:<8}{:>14.2}{:>14.1}",
+                point.mean(),
+                config.hardware_limit() / (1024.0 * 1024.0)
+            );
         }
         println!();
     }
