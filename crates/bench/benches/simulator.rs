@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the discrete-event simulation engine.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ddio_sim::sync::{unbounded, Semaphore};
+use ddio_sim::sync::{unbounded, Resource, Semaphore};
 use ddio_sim::{Sim, SimDuration};
 
 /// Thousands of interleaved sleeping tasks: measures raw event throughput.
@@ -145,6 +145,46 @@ fn bench_spawn(c: &mut Criterion) {
     });
 }
 
+/// One task sleeping in a loop while 100 far timers stay pending: the shape
+/// where every timer the sleeper registers is the run loop's next event.
+fn bench_lone_sleeper(c: &mut Criterion) {
+    c.bench_function("simulator/lone_sleeper", |b| {
+        b.iter(|| {
+            let mut sim = Sim::new();
+            let ctx = sim.context();
+            for _ in 0..100 {
+                let ctx = ctx.clone();
+                sim.spawn(async move {
+                    ctx.sleep(SimDuration::from_secs(1)).await;
+                });
+            }
+            sim.spawn(async move {
+                for _ in 0..10_000 {
+                    ctx.sleep(SimDuration::from_micros(1)).await;
+                }
+            });
+            sim.run()
+        });
+    });
+}
+
+/// `use_for` on an idle resource: one task holding a bus 10k times in a row,
+/// never queueing.
+fn bench_resource_uncontended(c: &mut Criterion) {
+    c.bench_function("simulator/resource_uncontended", |b| {
+        b.iter(|| {
+            let mut sim = Sim::new();
+            let bus = Resource::new(sim.context(), "bus", 1);
+            sim.spawn(async move {
+                for _ in 0..10_000 {
+                    bus.use_for(SimDuration::from_micros(1)).await;
+                }
+            });
+            sim.run()
+        });
+    });
+}
+
 criterion_group!(
     benches,
     bench_timers,
@@ -152,6 +192,8 @@ criterion_group!(
     bench_semaphore_contention,
     bench_wake_queue,
     bench_timers_spread,
-    bench_spawn
+    bench_spawn,
+    bench_lone_sleeper,
+    bench_resource_uncontended
 );
 criterion_main!(benches);

@@ -144,7 +144,9 @@ impl RunContext {
         let bytes = end - start;
         let request = DiskRequest::read(loc.start_sector, self.config.sectors_for(bytes));
         if self.local_disk(iop, loc.disk).io(request).await.failed {
-            self.recover_block_read(block, iop.node).await;
+            // Boxed: the recovery future is large and runs only after a
+            // failed read, so inlining it would bloat every caller's future.
+            Box::pin(self.recover_block_read(block, iop.node)).await;
         }
         iop.bus.transfer(bytes).await;
         bytes

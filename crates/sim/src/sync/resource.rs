@@ -149,25 +149,29 @@ impl Resource {
         // The guard returns the server via `add_permits` itself, so the
         // permit's own guard object is not kept around.
         inner.sem.acquire(1).await.forget();
-        let granted = inner.ctx.now();
-        {
-            let mut st = inner.stats.borrow_mut();
-            st.acquisitions += 1;
-            st.queue_wait += granted - requested;
-            st.first_use.get_or_insert(granted);
-        }
         ResourceGuard {
             inner: Rc::clone(inner),
-            acquired_at: granted,
+            acquired_at: inner.granted(requested),
         }
     }
 
     /// Acquires the resource, holds it for `duration` of simulated time, and
     /// releases it. This is the common "transfer n bytes over the bus" call.
+    ///
+    /// Same waits, statistics and FIFO hand-off as `acquire` followed by a
+    /// sleep, but an idle resource is taken without the acquire future or
+    /// a refcounted guard: only a contended one queues.
     pub async fn use_for(&self, duration: SimDuration) {
-        let guard = self.acquire().await;
-        self.inner.ctx.sleep(duration).await;
-        drop(guard);
+        let inner = &*self.inner;
+        let requested = inner.ctx.now();
+        if !inner.sem.try_take(1) {
+            inner.sem.acquire(1).await.forget();
+        }
+        let _hold = Hold {
+            inner,
+            acquired_at: inner.granted(requested),
+        };
+        inner.ctx.sleep(duration).await;
     }
 
     /// Number of completed or in-progress acquisitions.
@@ -205,6 +209,34 @@ impl Resource {
     }
 }
 
+impl ResourceInner {
+    /// Records a grant to an acquirer that asked at `requested`; returns
+    /// the grant time.
+    fn granted(&self, requested: SimTime) -> SimTime {
+        let granted = self.ctx.now();
+        let mut st = self.stats.borrow_mut();
+        st.acquisitions += 1;
+        st.queue_wait += granted - requested;
+        st.first_use.get_or_insert(granted);
+        granted
+    }
+
+    /// Returns a server held since `acquired_at`: the stats are settled
+    /// first, then the next waiter is granted (the same FIFO hand-off as
+    /// dropping a permit).
+    fn release(&self, acquired_at: SimTime) {
+        let now = self.ctx.now();
+        {
+            let mut st = self.stats.borrow_mut();
+            st.busy += now - acquired_at;
+            if now > st.last_release {
+                st.last_release = now;
+            }
+        }
+        self.sem.add_permits(1);
+    }
+}
+
 /// Guard for an acquired [`Resource`] server.
 pub struct ResourceGuard {
     inner: Rc<ResourceInner>,
@@ -213,17 +245,21 @@ pub struct ResourceGuard {
 
 impl Drop for ResourceGuard {
     fn drop(&mut self) {
-        let now = self.inner.ctx.now();
-        {
-            let mut st = self.inner.stats.borrow_mut();
-            st.busy += now - self.acquired_at;
-            if now > st.last_release {
-                st.last_release = now;
-            }
-        }
-        // Same FIFO hand-off as dropping the permit: the stats are settled
-        // first, then the next waiter is granted.
-        self.inner.sem.add_permits(1);
+        self.inner.release(self.acquired_at);
+    }
+}
+
+/// [`Resource::use_for`]'s hold on a server: a borrowed [`ResourceGuard`],
+/// so a cancelled `use_for` still returns its server and settles its busy
+/// time.
+struct Hold<'a> {
+    inner: &'a ResourceInner,
+    acquired_at: SimTime,
+}
+
+impl Drop for Hold<'_> {
+    fn drop(&mut self) {
+        self.inner.release(self.acquired_at);
     }
 }
 
@@ -231,6 +267,10 @@ impl Drop for ResourceGuard {
 mod tests {
     use super::*;
     use crate::Sim;
+    use std::cell::Cell;
+    use std::future::Future;
+    use std::pin::Pin;
+    use std::task::Poll;
 
     #[test]
     fn serializes_when_capacity_one() {
@@ -288,6 +328,129 @@ mod tests {
         sim.run();
         assert_eq!(r.utilization(), 0.0);
         assert_eq!(r.acquisitions(), 0);
+    }
+
+    /// Polls `future` once and hands it back (still pending, or finished).
+    async fn poll_once<F: Future + Unpin>(mut future: F) -> F {
+        std::future::poll_fn(|cx| {
+            let _ = Pin::new(&mut future).poll(cx);
+            Poll::Ready(())
+        })
+        .await;
+        future
+    }
+
+    #[test]
+    fn dropping_a_holding_use_for_returns_the_server() {
+        let mut sim = Sim::new();
+        let ctx = sim.context();
+        let bus = Resource::new(ctx.clone(), "bus", 1);
+        let granted = Rc::new(Cell::new(None));
+        {
+            let (bus, ctx) = (bus.clone(), ctx.clone());
+            sim.spawn(async move {
+                let hold = poll_once(Box::pin(bus.use_for(SimDuration::from_millis(10)))).await;
+                ctx.sleep(SimDuration::from_millis(4)).await;
+                drop(hold);
+            });
+        }
+        {
+            let (bus, ctx, granted) = (bus.clone(), ctx.clone(), Rc::clone(&granted));
+            sim.spawn(async move {
+                let _guard = bus.acquire().await;
+                granted.set(Some(ctx.now()));
+            });
+        }
+        sim.run();
+        // Cancelled after 4 ms of its 10: the server went straight to the
+        // waiter, and only the time actually held counts as busy.
+        assert_eq!(
+            granted.get(),
+            Some(SimTime::ZERO + SimDuration::from_millis(4))
+        );
+        assert_eq!(bus.acquisitions(), 2);
+        assert_eq!(bus.busy_time(), SimDuration::from_millis(4));
+        assert_eq!(bus.total_queue_wait(), SimDuration::from_millis(4));
+        assert_eq!(bus.queue_len(), 0);
+    }
+
+    #[test]
+    fn dropping_a_queued_use_for_leaks_no_server() {
+        let mut sim = Sim::new();
+        let ctx = sim.context();
+        let bus = Resource::new(ctx.clone(), "bus", 1);
+        let ms = SimDuration::from_millis;
+        let finished = Rc::new(RefCell::new(Vec::new()));
+        // (label, start, hold): `a` holds 0–10 ms; `b` queues at 0 and is
+        // cancelled at 2 ms; `c` queues at 1 ms and must get the server
+        // when `a` lets go; `d` and `e` arrive together at 20 ms and, with
+        // exactly one server, run back to back.
+        for (label, start, hold) in [("a", 0, 10), ("c", 1, 5), ("d", 20, 1), ("e", 20, 1)] {
+            let (bus, ctx, finished) = (bus.clone(), ctx.clone(), Rc::clone(&finished));
+            sim.spawn(async move {
+                ctx.sleep(ms(start)).await;
+                bus.use_for(ms(hold)).await;
+                finished.borrow_mut().push((label, ctx.now()));
+            });
+        }
+        {
+            let (bus, ctx) = (bus.clone(), ctx.clone());
+            sim.spawn(async move {
+                let queued = poll_once(Box::pin(bus.use_for(ms(100)))).await;
+                assert_eq!(bus.queue_len(), 1);
+                ctx.sleep(ms(2)).await;
+                drop(queued);
+                assert_eq!(bus.queue_len(), 1, "only c is still queued");
+            });
+        }
+        assert_eq!(sim.run(), SimTime::ZERO + ms(22));
+        let at = |t| SimTime::ZERO + ms(t);
+        assert_eq!(
+            *finished.borrow(),
+            [("a", at(10)), ("c", at(15)), ("d", at(21)), ("e", at(22))]
+        );
+        assert_eq!(bus.acquisitions(), 4);
+        assert_eq!(bus.busy_time(), ms(17));
+        // c waited 1–10 ms, e waited 20–21 ms; b never held the server.
+        assert_eq!(bus.total_queue_wait(), ms(10));
+        assert_eq!(bus.queue_len(), 0);
+    }
+
+    #[test]
+    fn use_for_accounts_like_acquire_then_sleep() {
+        // Three tasks contending for two servers, each holding twice.
+        let run = |guarded: bool| {
+            let mut sim = Sim::new();
+            let ctx = sim.context();
+            let r = Resource::new(ctx.clone(), "dual", 2);
+            for (start, hold) in [(0u64, 7u64), (1, 5), (2, 3)] {
+                let (r, ctx) = (r.clone(), ctx.clone());
+                sim.spawn(async move {
+                    ctx.sleep(SimDuration::from_micros(start)).await;
+                    for round in 0..2 {
+                        let hold = SimDuration::from_micros(hold + round);
+                        if guarded {
+                            let guard = r.acquire().await;
+                            ctx.sleep(hold).await;
+                            drop(guard);
+                        } else {
+                            r.use_for(hold).await;
+                        }
+                    }
+                });
+            }
+            let end = sim.run();
+            (
+                end,
+                r.acquisitions(),
+                r.busy_time(),
+                r.total_queue_wait(),
+                r.utilization().to_bits(),
+            )
+        };
+        let guarded = run(true);
+        assert!(guarded.3 > SimDuration::ZERO, "the script must contend");
+        assert_eq!(run(false), guarded);
     }
 
     #[test]

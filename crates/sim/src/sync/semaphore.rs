@@ -58,6 +58,15 @@ impl Inner {
         self.free.push(idx);
     }
 
+    /// Takes `n` permits if nobody is queued and enough are free.
+    fn try_take(&mut self, n: u64) -> bool {
+        if self.live > 0 || self.permits < n {
+            return false;
+        }
+        self.permits -= n;
+        true
+    }
+
     /// Hands permits to queued waiters in FIFO order while enough are free.
     fn grant(&mut self) {
         loop {
@@ -156,17 +165,19 @@ impl Semaphore {
 
     /// Attempts to acquire `n` permits without waiting.
     pub fn try_acquire(&self, n: u64) -> Option<Permit> {
-        let mut inner = self.inner.borrow_mut();
-        if inner.live > 0 || inner.permits < n {
-            return None;
-        }
-        inner.permits -= n;
-        drop(inner);
-        Some(Permit {
+        self.try_take(n).then(|| Permit {
             sem: self.clone(),
             n,
             released: false,
         })
+    }
+
+    /// Takes `n` permits without waiting and without a guard, under the
+    /// condition on which [`Semaphore::acquire`]'s first poll grants them:
+    /// nobody is queued and `n` permits are free. Returns whether it took
+    /// them; the caller owes them back through [`Semaphore::add_permits`].
+    pub fn try_take(&self, n: u64) -> bool {
+        self.inner.borrow_mut().try_take(n)
     }
 
     /// Adds `n` permits to the semaphore (independently of any guard).
@@ -252,8 +263,7 @@ impl Future for Acquire {
             slot.waker = Some(TaskRef::capture(cx));
             return Poll::Pending;
         }
-        if inner.live == 0 && inner.permits >= this.wants {
-            inner.permits -= this.wants;
+        if inner.try_take(this.wants) {
             drop(inner);
             this.done = true;
             return Poll::Ready(Permit {
@@ -376,6 +386,30 @@ mod tests {
         });
         sim.run();
         assert!(sem.try_acquire(1).is_some());
+    }
+
+    #[test]
+    fn try_take_grants_like_a_first_poll() {
+        let mut sim = Sim::new();
+        let sem = Semaphore::new(2);
+        assert!(sem.try_take(2));
+        assert_eq!(sem.available(), 0);
+        assert!(!sem.try_take(1), "no permits free");
+        let sem2 = sem.clone();
+        let granted = Rc::new(Cell::new(false));
+        let granted2 = Rc::clone(&granted);
+        sim.spawn(async move {
+            let _p = sem2.acquire(1).await;
+            granted2.set(true);
+        });
+        sim.run();
+        assert_eq!(sem.queue_len(), 1);
+        sem.add_permits(1);
+        assert!(!sem.try_take(1), "the queued waiter goes first");
+        sim.run();
+        assert!(granted.get());
+        assert_eq!(sem.available(), 1, "the waiter released its permit");
+        assert!(sem.try_take(1));
     }
 
     #[test]

@@ -1,12 +1,21 @@
 //! Property-based tests of the executor itself under adversarial schedules:
 //! random scripts of spawns, sleeps, yields, and channel traffic must run
 //! deterministically (identical final clock and event count on every run)
-//! and leave no live tasks behind after quiescence, and random sleep scripts
+//! and leave no live tasks behind after quiescence, random sleep scripts
 //! must fire in exactly the order a `(deadline, registration order)` sort
-//! gives.
+//! gives, and random scripts of sleeps, yields, cross-task wakes and
+//! abandoned timers must trace exactly what a reference interpreter of the
+//! documented run-loop contract traces.
+//!
+//! The two schedule tests also have `#[ignore]`d 1024-case variants:
+//! `cargo test --release -p ddio-sim --test proptest_executor -- --ignored`.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::future::{poll_fn, Future};
+use std::pin::pin;
 use std::rc::Rc;
+use std::task::{Poll, Waker};
 
 use proptest::prelude::*;
 
@@ -173,6 +182,293 @@ fn reference_order(scripts: &[Vec<u64>], limit: u64) -> (Vec<Fired>, bool) {
     (out, !pending.is_empty())
 }
 
+/// Up to a dozen tasks, each sleeping through up to five random lengths.
+fn sleep_scripts_strategy() -> impl Strategy<Value = Vec<Vec<u64>>> {
+    prop::collection::vec(prop::collection::vec(sleep_strategy(), 0..6), 1..12)
+}
+
+fn check_timer_order(scripts: &[Vec<u64>], limit: u64) -> Result<(), TestCaseError> {
+    let mut sim = Sim::new();
+    let log = spawn_sleepers(&mut sim, scripts);
+    let (prefix, pending) = reference_order(scripts, limit);
+    let stop = sim.run_until(SimTime::from_nanos(limit)).as_nanos();
+    prop_assert_eq!(&*log.borrow(), &prefix, "order up to the limit");
+    let last = prefix.last().map_or(0, |&(_, _, at)| at);
+    prop_assert_eq!(stop, if pending && limit > last { limit } else { last });
+
+    let (expected, _) = reference_order(scripts, u64::MAX);
+    sim.run();
+    prop_assert_eq!(&*log.borrow(), &expected, "order to the end");
+    prop_assert_eq!(sim.live_tasks(), 0);
+    // One poll per task start, plus a firing and a poll per timer.
+    let timers = scripts.iter().flatten().filter(|&&ns| ns > 0).count() as u64;
+    prop_assert_eq!(sim.events_processed(), scripts.len() as u64 + 2 * timers);
+
+    sim.reset();
+    spawn_sleepers(&mut sim, scripts);
+    sim.run_until(SimTime::from_nanos(limit));
+    sim.reset();
+    let log = spawn_sleepers(&mut sim, scripts);
+    sim.run();
+    prop_assert_eq!(&*log.borrow(), &expected, "order after reset");
+    prop_assert_eq!(sim.events_processed(), scripts.len() as u64 + 2 * timers);
+    Ok(())
+}
+
+/// One step of a [`schedules_with_wakes_match_the_reference`] script.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// `ctx.sleep(ns).await`.
+    Sleep(u64),
+    /// `ctx.yield_now().await`.
+    Yield,
+    /// Wake task `n % tasks` through its `Waker`, if it has started.
+    Wake(usize),
+    /// Poll `ctx.sleep(ns)` once and drop it: its timer stays registered,
+    /// so it later fires into a task that is no longer waiting on it — or,
+    /// as a last step, into a finished one.
+    Abandon(u64),
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        sleep_strategy().prop_map(Step::Sleep),
+        sleep_strategy().prop_map(Step::Sleep),
+        Just(Step::Yield),
+        (0usize..8).prop_map(Step::Wake),
+        sleep_strategy().prop_map(Step::Abandon),
+    ]
+}
+
+/// Up to eight tasks of up to seven steps each.
+fn wake_scripts_strategy() -> impl Strategy<Value = Vec<Vec<Step>>> {
+    prop::collection::vec(prop::collection::vec(step_strategy(), 0..8), 1..9)
+}
+
+/// What a schedule run shows: the `(time, task, step)` trace of completed
+/// steps, `events_processed`, and the clock where the run stopped.
+type Observed = (Vec<Fired>, u64, u64);
+
+/// Spawns one task per script. Each task first publishes its `Waker` (so
+/// `Wake` steps can reach it), then runs its steps, logging each one as it
+/// completes.
+fn spawn_steppers(sim: &mut Sim, scripts: &[Vec<Step>]) -> Rc<RefCell<Vec<Fired>>> {
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let wakers: Rc<RefCell<Vec<Option<Waker>>>> = Rc::new(RefCell::new(vec![None; scripts.len()]));
+    let ctx = sim.context();
+    let tasks = scripts.len();
+    for (me, script) in scripts.iter().cloned().enumerate() {
+        let ctx = ctx.clone();
+        let log = Rc::clone(&log);
+        let wakers = Rc::clone(&wakers);
+        sim.spawn(async move {
+            poll_fn(|cx| {
+                wakers.borrow_mut()[me] = Some(cx.waker().clone());
+                Poll::Ready(())
+            })
+            .await;
+            for (step, op) in script.into_iter().enumerate() {
+                match op {
+                    Step::Sleep(ns) => ctx.sleep(SimDuration::from_nanos(ns)).await,
+                    Step::Yield => ctx.yield_now().await,
+                    Step::Wake(n) => {
+                        if let Some(waker) = &wakers.borrow()[n % tasks] {
+                            waker.wake_by_ref();
+                        }
+                    }
+                    Step::Abandon(ns) => {
+                        let mut sleep = pin!(ctx.sleep(SimDuration::from_nanos(ns)));
+                        poll_fn(|cx| {
+                            let _ = sleep.as_mut().poll(cx);
+                            Poll::Ready(())
+                        })
+                        .await;
+                    }
+                }
+                log.borrow_mut().push((me, step, ctx.now().as_nanos()));
+            }
+        });
+    }
+    log
+}
+
+/// Where a reference task is parked inside its current step.
+#[derive(Debug, Clone, Copy)]
+enum Parked {
+    /// Not inside a step.
+    No,
+    /// In a `Sleep` whose timer is registered for this deadline.
+    Sleep(u64),
+    /// In a `Yield` that has already queued its own wake.
+    Yield,
+}
+
+struct RefTask {
+    step: usize,
+    parked: Parked,
+    started: bool,
+    done: bool,
+}
+
+/// A reference interpreter of the run-loop contract in `executor.rs`'s
+/// module doc, sharing no code or data structure with the executor: a FIFO
+/// ready queue without deduplication; when it runs dry, every timer due at
+/// the least pending deadline is queued, in registration order, before any
+/// poll; each firing and each poll of a live task counts one event, and a
+/// queued finished task is skipped without one. A timer due after the
+/// `run_until` limit stops the run with the clock moved up to the limit.
+struct Reference<'a> {
+    scripts: &'a [Vec<Step>],
+    tasks: Vec<RefTask>,
+    ready: VecDeque<usize>,
+    /// Pending timers as `(deadline, registration number, task)`.
+    timers: Vec<(u64, u64, usize)>,
+    registered: u64,
+    now: u64,
+    events: u64,
+    log: Vec<Fired>,
+}
+
+impl<'a> Reference<'a> {
+    fn new(scripts: &'a [Vec<Step>]) -> Self {
+        Reference {
+            scripts,
+            tasks: scripts
+                .iter()
+                .map(|_| RefTask {
+                    step: 0,
+                    parked: Parked::No,
+                    started: false,
+                    done: false,
+                })
+                .collect(),
+            ready: (0..scripts.len()).collect(),
+            timers: Vec::new(),
+            registered: 0,
+            now: 0,
+            events: 0,
+            log: Vec::new(),
+        }
+    }
+
+    fn register(&mut self, deadline: u64, task: usize) {
+        self.timers.push((deadline, self.registered, task));
+        self.registered += 1;
+    }
+
+    fn observed(&self) -> Observed {
+        (self.log.clone(), self.events, self.now)
+    }
+
+    fn run_until(&mut self, limit: u64) -> Observed {
+        loop {
+            while let Some(task) = self.ready.pop_front() {
+                if !self.tasks[task].done {
+                    self.events += 1;
+                    self.poll(task);
+                }
+            }
+            let Some(deadline) = self.timers.iter().map(|t| t.0).min() else {
+                break;
+            };
+            if deadline > limit {
+                break;
+            }
+            self.now = deadline;
+            let mut due: Vec<_> = self
+                .timers
+                .iter()
+                .filter(|t| t.0 == deadline)
+                .copied()
+                .collect();
+            due.sort();
+            self.timers.retain(|t| t.0 != deadline);
+            for (_, _, task) in due {
+                self.events += 1;
+                self.ready.push_back(task);
+            }
+        }
+        if limit != u64::MAX && !self.timers.is_empty() && limit > self.now {
+            self.now = limit;
+        }
+        self.observed()
+    }
+
+    /// One poll of `task`: runs its steps until one parks it or it ends.
+    fn poll(&mut self, task: usize) {
+        let tasks = self.scripts.len();
+        self.tasks[task].started = true;
+        while let Some(&op) = self.scripts[task].get(self.tasks[task].step) {
+            let parked = self.tasks[task].parked;
+            match (op, parked) {
+                (Step::Sleep(ns), Parked::No) if ns > 0 => {
+                    let deadline = self.now + ns;
+                    self.register(deadline, task);
+                    self.tasks[task].parked = Parked::Sleep(deadline);
+                    return;
+                }
+                (Step::Sleep(_), Parked::Sleep(deadline)) if self.now < deadline => return,
+                (Step::Yield, Parked::No) => {
+                    self.ready.push_back(task);
+                    self.tasks[task].parked = Parked::Yield;
+                    return;
+                }
+                (Step::Wake(n), _) if self.tasks[n % tasks].started => {
+                    self.ready.push_back(n % tasks);
+                }
+                (Step::Abandon(ns), _) if ns > 0 => self.register(self.now + ns, task),
+                _ => {}
+            }
+            let t = &mut self.tasks[task];
+            self.log.push((task, t.step, self.now));
+            t.step += 1;
+            t.parked = Parked::No;
+        }
+        self.tasks[task].done = true;
+    }
+}
+
+/// Runs `scripts` on a `Sim` through each limit in `limits` (sorted) and
+/// then to the end, against the [`Reference`]; then replays it on the
+/// reset simulator, once abandoned at the first limit and once in full.
+fn check_against_reference(scripts: &[Vec<Step>], limits: &[u64]) -> Result<(), TestCaseError> {
+    let mut limits = limits.to_vec();
+    limits.sort_unstable();
+    let mut sim = Sim::new();
+    let mut reference = Reference::new(scripts);
+    let log = spawn_steppers(&mut sim, scripts);
+    let run = |sim: &mut Sim, limit: u64| -> Observed {
+        let stop = sim.run_until(SimTime::from_nanos(limit)).as_nanos();
+        (log.borrow().clone(), sim.events_processed(), stop)
+    };
+    for &limit in &limits {
+        prop_assert_eq!(
+            run(&mut sim, limit),
+            reference.run_until(limit),
+            "up to {}",
+            limit
+        );
+    }
+    let expected = reference.run_until(u64::MAX);
+    prop_assert_eq!(run(&mut sim, u64::MAX), expected.clone(), "to the end");
+    prop_assert_eq!(sim.live_tasks(), 0);
+
+    if let Some(&limit) = limits.first() {
+        sim.reset();
+        spawn_steppers(&mut sim, scripts);
+        sim.run_until(SimTime::from_nanos(limit));
+    }
+    sim.reset();
+    let log = spawn_steppers(&mut sim, scripts);
+    let stop = sim.run().as_nanos();
+    prop_assert_eq!(
+        (log.borrow().clone(), sim.events_processed(), stop),
+        expected,
+        "after reset"
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -183,33 +479,23 @@ proptest! {
     /// identically.
     #[test]
     fn timers_fire_in_deadline_then_registration_order(
-        scripts in prop::collection::vec(prop::collection::vec(sleep_strategy(), 0..6), 1..12),
+        scripts in sleep_scripts_strategy(),
         limit in limit_strategy(),
     ) {
-        let mut sim = Sim::new();
-        let log = spawn_sleepers(&mut sim, &scripts);
-        let (prefix, pending) = reference_order(&scripts, limit);
-        let stop = sim.run_until(SimTime::from_nanos(limit)).as_nanos();
-        prop_assert_eq!(&*log.borrow(), &prefix, "order up to the limit");
-        let last = prefix.last().map_or(0, |&(_, _, at)| at);
-        prop_assert_eq!(stop, if pending && limit > last { limit } else { last });
+        check_timer_order(&scripts, limit)?;
+    }
 
-        let (expected, _) = reference_order(&scripts, u64::MAX);
-        sim.run();
-        prop_assert_eq!(&*log.borrow(), &expected, "order to the end");
-        prop_assert_eq!(sim.live_tasks(), 0);
-        // One poll per task start, plus a firing and a poll per timer.
-        let timers = scripts.iter().flatten().filter(|&&ns| ns > 0).count() as u64;
-        prop_assert_eq!(sim.events_processed(), scripts.len() as u64 + 2 * timers);
-
-        sim.reset();
-        spawn_sleepers(&mut sim, &scripts);
-        sim.run_until(SimTime::from_nanos(limit));
-        sim.reset();
-        let log = spawn_sleepers(&mut sim, &scripts);
-        sim.run();
-        prop_assert_eq!(&*log.borrow(), &expected, "order after reset");
-        prop_assert_eq!(sim.events_processed(), scripts.len() as u64 + 2 * timers);
+    /// Random scripts of sleeps, yields, cross-task wakes and abandoned
+    /// timers trace exactly what [`Reference`] traces — `(time, task, step)`,
+    /// `events_processed` and the stop clock — at every `run_until` limit,
+    /// to the end, and again after `Sim::reset` (also one taken with timers
+    /// still pending).
+    #[test]
+    fn schedules_with_wakes_match_the_reference(
+        scripts in wake_scripts_strategy(),
+        limits in prop::collection::vec(limit_strategy(), 0..3),
+    ) {
+        check_against_reference(&scripts, &limits)?;
     }
 
     /// Any random script set runs to quiescence with an identical
@@ -279,5 +565,29 @@ proptest! {
             (end, events)
         };
         prop_assert_eq!(run(), run());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// [`timers_fire_in_deadline_then_registration_order`] over 1024 cases.
+    #[test]
+    #[ignore = "1024-case variant: run with --release -- --ignored"]
+    fn timers_fire_in_deadline_then_registration_order_1024(
+        scripts in sleep_scripts_strategy(),
+        limit in limit_strategy(),
+    ) {
+        check_timer_order(&scripts, limit)?;
+    }
+
+    /// [`schedules_with_wakes_match_the_reference`] over 1024 cases.
+    #[test]
+    #[ignore = "1024-case variant: run with --release -- --ignored"]
+    fn schedules_with_wakes_match_the_reference_1024(
+        scripts in wake_scripts_strategy(),
+        limits in prop::collection::vec(limit_strategy(), 0..3),
+    ) {
+        check_against_reference(&scripts, &limits)?;
     }
 }
