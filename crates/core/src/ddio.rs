@@ -245,9 +245,6 @@ pub(crate) fn spawn_transfer(
                             server.run_collective(task_ctx, cp, op, sched).await;
                         });
                     }
-                    // Reconstruction data: the recovering task awaited the
-                    // delivery itself; nothing to route.
-                    FsMessage::Reconstructed { .. } => {}
                     FsMessage::MemgetReply { id, .. } => {
                         let waiter = server.pending_gets.borrow_mut().remove(&id);
                         match waiter {

@@ -168,7 +168,7 @@ impl RunContext {
             .redundant_location(block)
             .filter(|copy| !f.schedule.is_dead(copy.disk, f.ctx.now()));
         let copied = match copy {
-            Some(copy) => self.write_copy(block, copy, iop.node, bytes).await,
+            Some(copy) => self.write_copy(copy, iop.node, bytes).await,
             None => false,
         };
         if failed && !copied {
@@ -221,7 +221,7 @@ impl RunContext {
             }
             source.bus.transfer(bytes).await;
             if source.node != requester_node {
-                self.ship_reconstruction(source.node, requester_node, block, bytes)
+                self.ship_reconstruction(source.node, requester_node, bytes)
                     .await;
             }
             f.reconstruction_reads.set(f.reconstruction_reads.get() + 1);
@@ -233,16 +233,10 @@ impl RunContext {
 
     /// Ships `bytes` to the IOP owning `loc` (if remote), charges its bus,
     /// and writes the copy. True on success.
-    async fn write_copy(
-        &self,
-        block: u64,
-        loc: BlockLocation,
-        requester_node: usize,
-        bytes: u64,
-    ) -> bool {
+    async fn write_copy(&self, loc: BlockLocation, requester_node: usize, bytes: u64) -> bool {
         let target = &self.fault.disks[loc.disk];
         if target.node != requester_node {
-            self.ship_reconstruction(requester_node, target.node, block, bytes)
+            self.ship_reconstruction(requester_node, target.node, bytes)
                 .await;
         }
         target.bus.transfer(bytes).await;
@@ -250,11 +244,13 @@ impl RunContext {
         !target.handle.io(request).await.failed
     }
 
-    /// One cross-IOP hop of reconstruction data over the fabric.
-    async fn ship_reconstruction(&self, from: usize, to: usize, block: u64, bytes: u64) {
-        let msg = FsMessage::Reconstructed { block, bytes };
-        let wire = self.config.costs.message_header_bytes + msg.payload_bytes();
-        self.net.send(from, to, wire, msg).await;
+    /// One cross-IOP hop of reconstruction data (a mirror copy, a surviving
+    /// parity-group member, or a redirected write) over the fabric. The
+    /// recovering task waits out the hop itself, so the data is carried to
+    /// no inbox.
+    async fn ship_reconstruction(&self, from: usize, to: usize, bytes: u64) {
+        let wire = self.config.costs.message_header_bytes + bytes;
+        self.net.carry(from, to, wire).await;
     }
 }
 
@@ -632,14 +628,15 @@ pub fn run_transfer_in(
     // machine serves the open-loop request stream under the chosen method's
     // service path instead.
     let serve_session = if serve_schedule.is_active() {
+        // Serving carries its messages without inboxes: drop them now, so a
+        // stray delivery panics instead of queueing unread.
+        drop((cp_inboxes, iop_inboxes));
         Some(serve::spawn_serving(
             sim,
             &ctx,
             &run,
             &cps,
             &iops,
-            cp_inboxes,
-            iop_inboxes,
             method,
             serve_schedule,
         ))

@@ -76,37 +76,6 @@ pub enum FsMessage {
         /// The piece of the file carried.
         piece: Chunk,
     },
-    /// Open-loop serving: a CP asks the IOP owning a block to read and
-    /// return it (always a read; the serving workload is read-only).
-    ServeRequest {
-        /// Request id, unique across the run.
-        id: u64,
-        /// Issuing CP.
-        cp: usize,
-        /// File block number.
-        block: u64,
-        /// True if this request is the first of its batch's per-IOP group
-        /// under disk-directed serving, and so pays the collective setup.
-        setup: bool,
-    },
-    /// Open-loop serving: the IOP's reply, carrying the block's data.
-    ServeReply {
-        /// The id of the request this answers.
-        id: u64,
-        /// Bytes of data carried.
-        len: u32,
-    },
-    /// Fault recovery: reconstruction data (a mirror copy, a surviving
-    /// parity-group member, or a redirected write) shipped between the IOP
-    /// owning the redundant copy and the IOP recovering the block. Carries
-    /// the data; the receiver needs no routing — the recovering task awaits
-    /// delivery through [`Network::send`](ddio_net::Network::send).
-    Reconstructed {
-        /// The file block being reconstructed.
-        block: u64,
-        /// Bytes of data carried.
-        bytes: u64,
-    },
 }
 
 impl FsMessage {
@@ -124,10 +93,7 @@ impl FsMessage {
             },
             FsMessage::Memput { piece } => piece.bytes,
             FsMessage::MemgetReply { piece, .. } => piece.bytes,
-            FsMessage::Reconstructed { bytes, .. } => bytes,
-            FsMessage::ServeReply { len, .. } => len as u64,
-            FsMessage::ServeRequest { .. }
-            | FsMessage::TcSync { .. }
+            FsMessage::TcSync { .. }
             | FsMessage::TcSyncDone
             | FsMessage::CollectiveRequest { .. }
             | FsMessage::CollectiveDone { .. }
@@ -184,14 +150,5 @@ mod tests {
         );
         assert_eq!(FsMessage::MemgetReply { id: 9, piece }.payload_bytes(), 512);
         assert_eq!(FsMessage::TcSyncDone.payload_bytes(), 0);
-        let serve_req = FsMessage::ServeRequest {
-            id: 4,
-            cp: 0,
-            block: 17,
-            setup: true,
-        };
-        assert_eq!(serve_req.payload_bytes(), 0, "serving is read-only");
-        let serve_reply = FsMessage::ServeReply { id: 4, len: 8192 };
-        assert_eq!(serve_reply.payload_bytes(), 8192);
     }
 }

@@ -22,17 +22,15 @@
 //! every cell can report p50/p99/p999 without storing per-request samples.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::task::Poll;
 
 use ddio_disk::SchedPolicy;
-use ddio_sim::sync::oneshot;
 use ddio_sim::{Policy, Sim, SimContext, SimDuration, SimRng, SimTime, TaskRef};
 
 use crate::config::{MachineConfig, Method};
-use crate::machine::{CpParts, Inbox, IopParts, RunContext};
-use crate::msg::FsMessage;
+use crate::machine::{CpParts, IopParts, RunContext};
 use crate::util::PendingCounter;
 
 /// How client requests arrive at the file system.
@@ -775,184 +773,90 @@ impl ServeSession {
 /// (the batch shares one collective setup per IOP).
 const SERVE_BATCH: usize = 8;
 
-/// Per-CP client state: issues admitted requests and routes replies back.
-struct ServeClient {
-    parts: Rc<CpParts>,
+/// Everything one admitted request touches: the CP issuing it, the IOP
+/// owning its block, and the recorders its completion lands in.
+struct ServeNodes {
+    cps: Vec<Rc<CpParts>>,
+    iops: Vec<Rc<IopParts>>,
     run: Rc<RunContext>,
     session: Rc<ServeSession>,
-    pending: RefCell<HashMap<u64, oneshot::OneSender<FsMessage>>>,
-}
-
-impl ServeClient {
-    /// Issues one admitted request to the IOP owning its block and records
-    /// its completion when the data comes back.
-    async fn drive(self: Rc<Self>, spec: ServeRequestSpec, id: u64, setup: bool) {
-        let costs = self.run.config.costs;
-        let (tx, rx) = oneshot::channel();
-        self.pending.borrow_mut().insert(id, tx);
-
-        self.parts.cpu.use_for(costs.cp_request_cpu).await;
-        let disk = self.run.layout.disk_of_block(spec.block);
-        let iop = self.run.config.iop_of_disk(disk);
-        let request = FsMessage::ServeRequest {
-            id,
-            cp: self.parts.cp,
-            block: spec.block,
-            setup,
-        };
-        let bytes = costs.message_header_bytes + request.payload_bytes();
-        self.run
-            .net
-            .send(
-                self.parts.node,
-                self.run.config.iop_node(iop),
-                bytes,
-                request,
-            )
-            .await;
-
-        let reply = rx.await.expect("IOP dropped a serve request");
-        self.parts.cpu.use_for(costs.cp_mem_msg_cpu).await;
-        let FsMessage::ServeReply { len, .. } = reply else {
-            panic!("serve client routed a non-reply: {reply:?}");
-        };
-        let now = self.run.fault.ctx.now();
-        let latency = now.saturating_duration_since(spec.arrival);
-        self.session
-            .record_completion(spec.tenant, latency, len as u64);
-    }
-
-    /// The CP's inbox dispatcher.
-    async fn dispatch(self: Rc<Self>, inbox: Inbox) {
-        while let Some(env) = inbox.recv().await {
-            match env.payload {
-                FsMessage::ServeReply { id, .. } => {
-                    if let Some(tx) = self.pending.borrow_mut().remove(&id) {
-                        tx.send(env.payload);
-                    }
-                }
-                // Reconstruction data: the recovering task awaited the
-                // delivery itself; nothing to route.
-                FsMessage::Reconstructed { .. } => {}
-                other => panic!(
-                    "CP {} received unexpected message while serving: {other:?}",
-                    self.parts.cp
-                ),
-            }
-        }
-    }
-}
-
-/// Per-IOP server state.
-struct ServeServer {
-    parts: Rc<IopParts>,
-    run: Rc<RunContext>,
     /// True when the run serves via disk-directed I/O (amortized collective
     /// setup, no cache pass); false for the traditional request-reply path.
     ddio: bool,
 }
 
-impl ServeServer {
-    /// Serves one request: CPU costs per the method, the disk read, the SCSI
-    /// bus, and the data-carrying reply.
-    async fn handle(self: Rc<Self>, id: u64, cp: usize, block: u64, setup: bool) {
-        let costs = self.run.config.costs;
+impl ServeNodes {
+    /// Runs admitted request `id` for `spec.block`, owned by IOP `iop`, as
+    /// one round trip in the calling task:
+    /// CP request CPU, the request message to the IOP owning the block, the
+    /// IOP's CPU costs per the method around the disk read and the SCSI
+    /// bus, the data-carrying reply, and the CP's receive CPU. Both
+    /// messages are [`Network::carry`](ddio_net::Network::carry) hops: they
+    /// pay the NIs and the fabric like any message, and no dispatcher has
+    /// to route them because this task is the one waiting at each end.
+    async fn serve(&self, spec: ServeRequestSpec, id: u64, iop: usize, setup: bool) {
+        let run = &self.run;
+        let costs = run.config.costs;
+        let cp = &self.cps[id as usize % self.cps.len()];
+        let iop = &self.iops[iop];
+
+        cp.cpu.use_for(costs.cp_request_cpu).await;
+        // The request carries no data: the serving workload is read-only.
+        run.net
+            .carry(cp.node, iop.node, costs.message_header_bytes)
+            .await;
+
         if self.ddio {
             // Disk-directed: the first request of a batch's per-IOP group
             // pays the collective setup; every request pays the block-task
             // cost. At batch size 1 the setup dominates (traditional
             // caching wins); a full batch amortizes it away.
             if setup {
-                self.parts.cpu.use_for(costs.collective_setup_cpu).await;
+                iop.cpu.use_for(costs.collective_setup_cpu).await;
             }
-            self.parts.cpu.use_for(costs.ddio_block_cpu).await;
+            iop.cpu.use_for(costs.ddio_block_cpu).await;
         } else {
-            self.parts.cpu.use_for(costs.iop_dispatch_cpu).await;
-            self.parts.cpu.use_for(costs.iop_cache_cpu).await;
+            iop.cpu.use_for(costs.iop_dispatch_cpu).await;
+            iop.cpu.use_for(costs.iop_cache_cpu).await;
         }
-        let bytes = self.run.read_block(&self.parts, block).await;
+        let bytes = run.read_block(iop, spec.block).await;
         if self.ddio {
-            self.parts.cpu.use_for(costs.memput_cpu).await;
+            iop.cpu.use_for(costs.memput_cpu).await;
         } else {
-            self.parts.cpu.use_for(costs.iop_reply_cpu).await;
+            iop.cpu.use_for(costs.iop_reply_cpu).await;
         }
-        let reply = FsMessage::ServeReply {
-            id,
-            len: bytes as u32,
-        };
-        let wire = costs.message_header_bytes + reply.payload_bytes();
-        self.run
-            .net
-            .send(self.parts.node, self.run.config.cp_node(cp), wire, reply)
+        run.net
+            .carry(iop.node, cp.node, costs.message_header_bytes + bytes)
             .await;
+
+        cp.cpu.use_for(costs.cp_mem_msg_cpu).await;
+        let latency = run.fault.ctx.now().saturating_duration_since(spec.arrival);
+        self.session.record_completion(spec.tenant, latency, bytes);
     }
 }
 
-/// Spawns every task of an open-loop serving run: per-IOP servers, per-CP
-/// clients, the arrival injector, and the admission workers. Returns the
-/// session whose recorders accumulate the run's statistics.
-#[allow(clippy::too_many_arguments)]
+/// Spawns every task of an open-loop serving run: the arrival injector and
+/// the admission workers, which spawn one task per admitted request.
+/// Returns the session whose recorders accumulate the run's statistics.
 pub(crate) fn spawn_serving(
     sim: &mut Sim,
     ctx: &SimContext,
     run: &Rc<RunContext>,
     cps: &[Rc<CpParts>],
     iops: &[Rc<IopParts>],
-    cp_inboxes: Vec<Inbox>,
-    iop_inboxes: Vec<Inbox>,
     method: Method,
     schedule: ServeConfig,
 ) -> Rc<ServeSession> {
     let session = Rc::new(ServeSession::new(schedule.tenants));
     let ddio = method.is_disk_directed();
     let presort = method.sched() == SchedPolicy::Presort;
-
-    // IOP servers.
-    for (iop_parts, inbox) in iops.iter().zip(iop_inboxes) {
-        let server = Rc::new(ServeServer {
-            parts: Rc::clone(iop_parts),
-            run: Rc::clone(run),
-            ddio,
-        });
-        let server_ctx = ctx.clone();
-        sim.spawn(async move {
-            while let Some(env) = inbox.recv().await {
-                match env.payload {
-                    FsMessage::ServeRequest {
-                        id,
-                        cp,
-                        block,
-                        setup,
-                    } => {
-                        let server = Rc::clone(&server);
-                        server_ctx.spawn_detached(async move {
-                            server.handle(id, cp, block, setup).await;
-                        });
-                    }
-                    FsMessage::Reconstructed { .. } => {}
-                    other => panic!("IOP received unexpected message while serving: {other:?}"),
-                }
-            }
-        });
-    }
-
-    // CP clients.
-    let mut clients = Vec::with_capacity(cps.len());
-    for (cp_parts, inbox) in cps.iter().zip(cp_inboxes) {
-        let client = Rc::new(ServeClient {
-            parts: Rc::clone(cp_parts),
-            run: Rc::clone(run),
-            session: Rc::clone(&session),
-            pending: RefCell::new(HashMap::new()),
-        });
-        {
-            let client = Rc::clone(&client);
-            sim.spawn(async move {
-                client.dispatch(inbox).await;
-            });
-        }
-        clients.push(client);
-    }
+    let nodes = Rc::new(ServeNodes {
+        cps: cps.to_vec(),
+        iops: iops.to_vec(),
+        run: Rc::clone(run),
+        session: Rc::clone(&session),
+        ddio,
+    });
 
     // The arrival injector: requests enter the shared admission queue at
     // their scheduled virtual times, in schedule order.
@@ -975,23 +879,21 @@ pub(crate) fn spawn_serving(
 
     // Admission workers: each admits the QoS policy's next request (for
     // disk-directed runs, an opportunistic batch sharing one collective
-    // setup per IOP) and issues it through the block's home CP, waiting for
+    // setup per IOP) and serves each request in its own task, waiting for
     // the whole batch before admitting more. The bounded window is what
     // makes fair-share starvation-free: a pending tenant is admitted within
     // `workers × SERVE_BATCH` admissions.
     let workers = (2 * cps.len()).max(1);
-    let layout = Rc::clone(&run.layout);
-    let config = Rc::clone(&run.config);
     for _ in 0..workers {
         let queue = queue.clone();
         let specs = Rc::clone(&specs);
-        let session = Rc::clone(&session);
-        let clients = clients.clone();
-        let layout = Rc::clone(&layout);
-        let config = Rc::clone(&config);
+        let nodes = Rc::clone(&nodes);
         let worker_ctx = ctx.clone();
         sim.spawn(async move {
+            let (layout, config) = (&nodes.run.layout, &nodes.run.config);
             let mut batch: Vec<(usize, u64)> = Vec::with_capacity(SERVE_BATCH);
+            // Back to zero after every batch, so one counter serves them all.
+            let inflight = PendingCounter::new();
             loop {
                 let Some(first) = queue.pop().await else {
                     break;
@@ -1020,21 +922,22 @@ pub(crate) fn spawn_serving(
                     }
                 }
                 let now = worker_ctx.now();
-                let inflight = PendingCounter::new();
                 let mut prev_iop: Option<usize> = None;
                 for &(_, id) in &batch {
                     let spec = specs[id as usize];
-                    session.record_admission(now.saturating_duration_since(spec.arrival));
+                    nodes
+                        .session
+                        .record_admission(now.saturating_duration_since(spec.arrival));
                     let iop = config.iop_of_disk(layout.disk_of_block(spec.block));
                     // Under DDIO the first request of each per-IOP group
                     // carries the (amortized) collective setup.
                     let setup = ddio && prev_iop != Some(iop);
                     prev_iop = Some(iop);
-                    let client = Rc::clone(&clients[id as usize % clients.len()]);
+                    let nodes = Rc::clone(&nodes);
                     let inflight2 = inflight.clone();
                     inflight.begin();
                     worker_ctx.spawn_detached(async move {
-                        client.drive(spec, id, setup).await;
+                        nodes.serve(spec, id, iop, setup).await;
                         inflight2.end();
                     });
                 }

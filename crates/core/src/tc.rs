@@ -451,9 +451,6 @@ pub(crate) fn spawn_transfer(
                             server.handle_sync(cp).await;
                         });
                     }
-                    // Reconstruction data: the recovering task awaited the
-                    // delivery itself; nothing to route.
-                    FsMessage::Reconstructed { .. } => {}
                     other => panic!(
                         "IOP received unexpected message under traditional caching: {other:?}"
                     ),

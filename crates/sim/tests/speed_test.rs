@@ -3,9 +3,9 @@
 //! Drives the runtime through its three hot paths — task spawning, timer
 //! registration/firing, and channel handoff — with a workload of roughly
 //! 100k events, and prints the measured events/sec so `--nocapture` runs
-//! double as a quick profile. The assertions are correctness-only (the
-//! numbers land in `BENCH_PR6.json` and the criterion benches instead):
-//! a wall-clock floor here would flake on loaded CI machines.
+//! double as a quick profile. The assertions are correctness-only (host
+//! speed is compared with the criterion benches and same-host `perfbench`
+//! A/Bs instead): a wall-clock floor here would flake on loaded CI machines.
 
 use std::time::Instant;
 

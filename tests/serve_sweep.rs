@@ -4,7 +4,8 @@
 //! ordered percentiles and per-tenant accounting, the headline claim
 //! (disk-directed batching keeps admission queueing far below TC's) holds
 //! across every matched composition, and the default-composition and
-//! headline cells are pinned bit-exactly.
+//! headline cells, plus serving through a drive failure under each redundant
+//! layout, are pinned bit-exactly.
 //!
 //! Snapshot scale: 1 MiB file, one trial, seed 1994 — the same reduced scale
 //! as `tests/golden_figures.rs` and the CI smoke runs.
@@ -201,5 +202,93 @@ fn golden_serve_snapshot() {
                 got.to_bits()
             );
         }
+    }
+}
+
+/// Open-loop serving under a dying drive: every request still completes,
+/// reads of the dead drive's blocks are rebuilt from the mirror copy or the
+/// parity group (each rebuilt block crossing the fabric from the IOP holding
+/// its sources), and nothing is lost. Pinned bit-exactly at the reduced
+/// scale, so any change to the request, reply or reconstruction hops that
+/// moves a serving figure under faults shows up here.
+#[test]
+fn golden_serving_under_drive_failure() {
+    use disk_directed_io::{run_transfer, AccessPattern, FaultPolicy, Method, RedundancyPolicy};
+    use disk_directed_io::{ArrivalProcess, QosPolicy, ServeParams};
+
+    // (redundancy, method, mean ms, p999 ms, mean queue ms,
+    //  reconstruction reads, lost blocks)
+    let golden: [(RedundancyPolicy, Method, f64, f64, f64, u64, u64); 4] = [
+        (
+            RedundancyPolicy::Mirrored,
+            Method::TC,
+            285.506035453125,
+            947.912704,
+            198.31935963671876,
+            23,
+            0,
+        ),
+        (
+            RedundancyPolicy::Mirrored,
+            Method::DDIO_SORTED,
+            245.61782583984376,
+            998.244352,
+            16.31701288671875,
+            23,
+            0,
+        ),
+        (
+            RedundancyPolicy::Parity,
+            Method::TC,
+            381.78764472265624,
+            1291.845632,
+            256.41314289453123,
+            345,
+            0,
+        ),
+        (
+            RedundancyPolicy::Parity,
+            Method::DDIO_SORTED,
+            275.7821196132812,
+            1015.021568,
+            18.20642307421875,
+            345,
+            0,
+        ),
+    ];
+    let pattern = AccessPattern::parse("rb").expect("known pattern");
+    for (redundancy, method, mean, p999, queue, rebuilt, lost) in golden {
+        let config = MachineConfig {
+            file_bytes: 1024 * 1024,
+            faults: FaultPolicy::Failure,
+            redundancy,
+            serve: ServeParams {
+                arrival: ArrivalProcess::Poisson,
+                qos: QosPolicy::Fifo,
+                offered_load: 1.0,
+                ..ServeParams::default()
+            },
+            ..MachineConfig::default()
+        };
+        let out = run_transfer(&config, method, pattern, config.block_bytes, 1994);
+        let key = format!("{} {}", redundancy.name(), method.label());
+        let serve = &out.serve;
+        assert_eq!(serve.requests, 4 * 64, "{key}: dropped requests");
+        for (what, got, expected) in [
+            ("mean ms", serve.mean_ms, mean),
+            ("p999 ms", serve.p999_ms, p999),
+            ("mean queue ms", serve.mean_queue_ms, queue),
+        ] {
+            assert!(
+                got.to_bits() == expected.to_bits(),
+                "{key} {what}: got {got} (bits {:#018x}), golden {expected}",
+                got.to_bits()
+            );
+        }
+        assert_eq!(
+            out.fault_stats.reconstruction_reads, rebuilt,
+            "{key}: rebuilt reads"
+        );
+        assert_eq!(out.fault_stats.lost_blocks, lost, "{key}: lost blocks");
     }
 }
